@@ -5,6 +5,7 @@
 #include <limits>
 #include <thread>
 
+#include "core/alive_kernel.h"
 #include "core/peel_runs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -20,12 +21,12 @@ constexpr uint32_t kWholeRound = std::numeric_limits<uint32_t>::max();
 
 /// One degree plane of a fused run: either a single direct vector
 /// (unit-weight streams driven run-major — integer-exact sums make every
-/// accumulation order the same bits) or PassEngine's slot vectors reduced
-/// in index order (general weights, and any stream whose round may be
-/// shard-split work-major, replicating the engine's deterministic
-/// schedule). In direct mode every slot aliases `values`, so the
-/// accumulation loop is identical either way — but aliased slots must
-/// never be written concurrently, which is what parallel_shards() guards.
+/// accumulation order the same bits) or kSlots slot vectors reduced by the
+/// engines' shared ReduceSlots (general weights, and any stream whose round
+/// may be shard-split work-major). In direct mode every slot aliases
+/// `values`, so the shard kernel is identical either way — but aliased
+/// slots must never be written concurrently, which is what
+/// parallel_shards() guards.
 struct AccumPlane {
   std::vector<double> values;              // the reduced per-node result
   std::vector<std::vector<double>> slots;  // empty in direct mode
@@ -42,43 +43,8 @@ struct AccumPlane {
   }
   bool slotted() const { return !slots.empty(); }
   double* Slot(size_t s) { return slots.empty() ? values.data() : slots[s].data(); }
-  // Mirrors PassEngine::ReduceAndClear: slots summed in index order per
-  // node, re-zeroed for the next pass. Keep the two in sync — the summation
-  // order is part of the fused/sequential bit-identity contract.
   void Reduce() {
-    if (slots.empty()) return;
-    const size_t n = values.size();
-    for (size_t u = 0; u < n; ++u) {
-      double total = 0.0;
-      for (std::vector<double>& slot : slots) {
-        total += slot[u];
-        slot[u] = 0.0;
-      }
-      values[u] = total;
-    }
-  }
-};
-
-/// Per-slot weight/count totals, mirroring PassEngine's slot_weight_ /
-/// slot_edges_ (summed in slot order at end of pass). Distinct shards
-/// write distinct slots, so work-major tasks never share an entry.
-struct SlotTotals {
-  std::array<double, kSlots> weight{};
-  std::array<EdgeId, kSlots> count{};
-
-  void BeginPass() {
-    weight.fill(0.0);
-    count.fill(0);
-  }
-  double TotalWeight() const {
-    double w = 0.0;
-    for (double s : weight) w += s;
-    return w;
-  }
-  EdgeId TotalCount() const {
-    EdgeId c = 0;
-    for (EdgeId s : count) c += s;
-    return c;
+    if (!slots.empty()) ReduceSlots(slots, values);
   }
 };
 
@@ -95,41 +61,25 @@ class FusedDirectedRun final : public MultiRunEngine::FusedRun {
   void BeginPass() override {
     out_.BeginPass();
     in_.BeginPass();
-    totals_.BeginPass();
+    totals_.Reset();
   }
   bool parallel_shards() const override { return out_.slotted(); }
   void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
-    const NodeSet& s_set = logic_.s();
-    const NodeSet& t_set = logic_.t();
-    double* out_acc = out_.Slot(slot);
-    double* in_acc = in_.Slot(slot);
-    double weight = 0.0;
-    EdgeId arcs = 0;
-    for (const Edge& e : shard) {
-      if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
-        out_acc[e.u] += e.w;
-        in_acc[e.v] += e.w;
-        weight += e.w;
-        ++arcs;
-      }
-    }
-    totals_.weight[slot] += weight;
-    totals_.count[slot] += arcs;
+    const DirectedPassResult r = AccumulateDirectedShard(
+        shard, logic_.s(), logic_.t(), out_.Slot(slot), in_.Slot(slot));
+    totals_.Add(slot, r.weight, r.arcs);
   }
   void FinishPass() override {
     out_.Reduce();
     in_.Reduce();
-    DirectedPassResult stats;
-    stats.weight = totals_.TotalWeight();
-    stats.arcs = totals_.TotalCount();
-    logic_.ApplyPass(stats, out_.values, in_.values);
+    logic_.ApplyPass(totals_.Directed(), out_.values, in_.values);
   }
   DirectedDensestResult TakeResult() { return logic_.TakeResult(); }
 
  private:
   Algorithm3Run logic_;
   AccumPlane out_, in_;
-  SlotTotals totals_;
+  SlotTotals<kSlots> totals_;
 };
 
 /// Fused Algorithm 1 run. Honors §6.3 compaction: in kCollectPass mode the
@@ -150,7 +100,7 @@ class FusedAlg1Run final : public MultiRunEngine::FusedRun {
   }
   void BeginPass() override {
     deg_.BeginPass();
-    totals_.BeginPass();
+    totals_.Reset();
   }
   bool parallel_shards() const override {
     // The collect pass appends survivors in stream order — order a
@@ -159,40 +109,16 @@ class FusedAlg1Run final : public MultiRunEngine::FusedRun {
            logic_.mode() != Algorithm1Run::PassMode::kCollectPass;
   }
   void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
-    const NodeSet& alive = logic_.alive();
-    double* acc = deg_.Slot(slot);
-    double weight = 0.0;
-    EdgeId edges = 0;
-    if (logic_.mode() == Algorithm1Run::PassMode::kCollectPass) {
-      std::vector<Edge>& buffer = logic_.buffer();
-      for (const Edge& e : shard) {
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++edges;
-          buffer.push_back(e);
-        }
-      }
-    } else {
-      for (const Edge& e : shard) {
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++edges;
-        }
-      }
-    }
-    totals_.weight[slot] += weight;
-    totals_.count[slot] += edges;
+    const bool collect =
+        logic_.mode() == Algorithm1Run::PassMode::kCollectPass;
+    const UndirectedPassResult r = AccumulateUndirectedShard(
+        shard, logic_.alive(), deg_.Slot(slot),
+        AppendSurvivors{collect ? &logic_.buffer() : nullptr});
+    totals_.Add(slot, r.weight, r.edges);
   }
   void FinishPass() override {
     deg_.Reduce();
-    UndirectedPassResult stats;
-    stats.weight = totals_.TotalWeight();
-    stats.edges = totals_.TotalCount();
-    logic_.ApplyPass(stats, deg_.values);
+    logic_.ApplyPass(totals_.Undirected(), deg_.values);
   }
   void FinishOffStream(PassEngine& engine) override {
     while (!logic_.done()) {
@@ -212,7 +138,7 @@ class FusedAlg1Run final : public MultiRunEngine::FusedRun {
   Algorithm1Run logic_;
   const CancelToken* cancel_;
   AccumPlane deg_;
-  SlotTotals totals_;
+  SlotTotals<kSlots> totals_;
 };
 
 /// Fused Algorithm 2 run.
@@ -226,38 +152,24 @@ class FusedAlg2Run final : public MultiRunEngine::FusedRun {
   bool done() const override { return logic_.done(); }
   void BeginPass() override {
     deg_.BeginPass();
-    totals_.BeginPass();
+    totals_.Reset();
   }
   bool parallel_shards() const override { return deg_.slotted(); }
   void AccumulateShard(std::span<const Edge> shard, size_t slot) override {
-    const NodeSet& alive = logic_.alive();
-    double* acc = deg_.Slot(slot);
-    double weight = 0.0;
-    EdgeId edges = 0;
-    for (const Edge& e : shard) {
-      if (alive.ContainsBoth(e.u, e.v)) {
-        acc[e.u] += e.w;
-        acc[e.v] += e.w;
-        weight += e.w;
-        ++edges;
-      }
-    }
-    totals_.weight[slot] += weight;
-    totals_.count[slot] += edges;
+    const UndirectedPassResult r =
+        AccumulateUndirectedShard(shard, logic_.alive(), deg_.Slot(slot));
+    totals_.Add(slot, r.weight, r.edges);
   }
   void FinishPass() override {
     deg_.Reduce();
-    UndirectedPassResult stats;
-    stats.weight = totals_.TotalWeight();
-    stats.edges = totals_.TotalCount();
-    logic_.ApplyPass(stats, deg_.values);
+    logic_.ApplyPass(totals_.Undirected(), deg_.values);
   }
   UndirectedDensestResult TakeResult() { return logic_.TakeResult(); }
 
  private:
   Algorithm2Run logic_;
   AccumPlane deg_;
-  SlotTotals totals_;
+  SlotTotals<kSlots> totals_;
 };
 
 /// Collects pointers to the concrete runs for Drive().

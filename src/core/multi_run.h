@@ -30,9 +30,11 @@
 //                the sketched runs whose Count-Sketch updates must follow
 //                stream order) stay whole-round tasks.
 //
-// Determinism: each run consumes shard s into accumulator slot s and slots
-// are reduced in index order (PassEngine's schedule: kShardEdges-edge
-// shards, shard i of a round into slot i), so every per-run result is
+// Determinism: each run consumes shard s into accumulator slot s through
+// the same alive-first kernel PassEngine uses (core/alive_kernel.h), and
+// slots are reduced in index order by the shared ReduceSlots (PassEngine's
+// schedule: kShardEdges-edge shards, shard i of a round into slot i,
+// filled by PassEngine::FillShardRound), so every per-run result is
 // bit-identical to a sequential run on the same stream — for any fan-out
 // thread count and either fan-out shape; threading only changes who
 // executes a shard, never what any accumulator sums or in which order. The

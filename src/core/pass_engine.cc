@@ -50,8 +50,6 @@ PassEngine::PassEngine(const PassEngineOptions& options) {
   if (num_threads_ > 1) {
     pool_ = std::make_unique<ThreadPool>(num_threads_);
   }
-  slot_weight_.fill(0.0);
-  slot_edges_.fill(0);
 }
 
 PassEngine::~PassEngine() = default;
@@ -67,8 +65,7 @@ void PassEngine::EnsureAccumulators(size_t n, size_t planes) {
     // ReduceAndClear re-zeroes after every pass. A size change re-zeroes.
     if (slot.size() != n) slot.assign(n, 0.0);
   }
-  slot_weight_.fill(0.0);
-  slot_edges_.fill(0);
+  totals_.Reset();
 }
 
 size_t PassEngine::FillShards(
@@ -91,19 +88,6 @@ void PassEngine::DispatchRound(size_t shards,
     pool_->ParallelFor(shards, fn);
   } else {
     for (size_t i = 0; i < shards; ++i) fn(i);
-  }
-}
-
-void PassEngine::ReduceAndClear(size_t plane, std::vector<double>& degrees) {
-  const size_t n = degrees.size();
-  std::vector<double>* slots = acc_.data() + plane * kShardSlots;
-  for (size_t u = 0; u < n; ++u) {
-    double total = 0.0;
-    for (size_t s = 0; s < kShardSlots; ++s) {
-      total += slots[s][u];
-      slots[s][u] = 0.0;
-    }
-    degrees[u] = total;
   }
 }
 
@@ -131,45 +115,23 @@ UndirectedPassResult PassEngine::RunUndirectedImpl(
       return RunUndirectedCsr(*g, alive, degrees, cancel);
     }
   }
-  EnsureBatchBuffer();
-  stream.Reset();
-
   if (UseDirectPath(stream)) {
-    // Unit weights, sequential: accumulate straight into `degrees`. Exact
-    // integer-valued sums make this bit-identical to any slotted schedule.
+    // Unit weights, sequential: accumulate straight into `degrees`, a whole
+    // view at a time. Exact integer-valued sums make this bit-identical to
+    // any slotted schedule.
     std::fill(degrees.begin(), degrees.end(), 0.0);
     UndirectedPassResult out;
-    double weight = 0.0;
-    for (;;) {
-      if (ShouldStop(cancel)) break;
-      std::span<const Edge> view =
-          stream.NextView(batch_.data(), batch_.size());
-      if (view.empty()) break;
-      if (survivors != nullptr) {
-        for (const Edge& e : view) {
-          if (alive.ContainsBoth(e.u, e.v)) {
-            degrees[e.u] += 1.0;
-            degrees[e.v] += 1.0;
-            weight += 1.0;
-            survivors->push_back(e);
-          }
-        }
-      } else {
-        // Branchless: dead edges add 0.0 (a no-op on the degree values),
-        // so the loop carries no unpredictable branch.
-        for (const Edge& e : view) {
-          const double keep = alive.ContainsBoth(e.u, e.v) ? 1.0 : 0.0;
-          degrees[e.u] += keep;
-          degrees[e.v] += keep;
-          weight += keep;
-        }
-      }
-    }
-    out.weight = weight;
-    out.edges = static_cast<EdgeId>(weight);  // unit weights: count == sum
+    ForEachView(stream, cancel, [&](std::span<const Edge> view) {
+      const UndirectedPassResult r = AccumulateUndirectedShard(
+          view, alive, degrees.data(), AppendSurvivors{survivors});
+      out.weight += r.weight;
+      out.edges += r.edges;
+    });
     return out;
   }
 
+  EnsureBatchBuffer();
+  stream.Reset();
   EnsureAccumulators(degrees.size(), /*planes=*/1);
   std::array<std::span<const Edge>, kShardSlots> shards;
   for (;;) {
@@ -177,23 +139,12 @@ UndirectedPassResult PassEngine::RunUndirectedImpl(
     const size_t count = FillShards(stream, shards);
     if (count == 0) break;
     DispatchRound(count, [&](size_t s) {
-      std::vector<double>& acc = acc_[s];
       std::vector<Edge>* out =
           survivors != nullptr ? &slot_survivors_[s] : nullptr;
       if (out != nullptr) out->clear();
-      double weight = 0.0;
-      EdgeId edges = 0;
-      for (const Edge& e : shards[s]) {
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++edges;
-          if (out != nullptr) out->push_back(e);
-        }
-      }
-      slot_weight_[s] += weight;
-      slot_edges_[s] += edges;
+      const UndirectedPassResult r = AccumulateUndirectedShard(
+          shards[s], alive, acc_[s].data(), AppendSurvivors{out});
+      totals_.Add(s, r.weight, r.edges);
     });
     if (survivors != nullptr) {
       // Slot order == stream order: survivors stay in stream order.
@@ -205,11 +156,7 @@ UndirectedPassResult PassEngine::RunUndirectedImpl(
     if (count < kShardSlots) break;
   }
 
-  UndirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.edges += slot_edges_[s];
-  }
+  const UndirectedPassResult out = totals_.Undirected();
   ReduceAndClear(/*plane=*/0, degrees);
   return out;
 }
@@ -297,8 +244,7 @@ UndirectedPassResult PassEngine::RunUndirectedCsr(
   EnsureAccumulators(n, /*planes=*/1);
   const std::vector<RowShard> shards = ShardRows(
       n, [&g](NodeId u) { return g.Degree(u); }, 2 * kShardEdges);
-  std::array<double, kShardSlots> slot_self_weight{};
-  std::array<EdgeId, kShardSlots> slot_self_edges{};
+  SlotTotals<kShardSlots> self_totals;  // self-loops, counted once
   for (size_t base = 0; base < shards.size(); base += kShardSlots) {
     if (ShouldStop(cancel)) break;
     const size_t count = std::min(kShardSlots, shards.size() - base);
@@ -327,25 +273,13 @@ UndirectedPassResult PassEngine::RunUndirectedCsr(
           }
         }
       }
-      slot_weight_[s] += twice_weight;
-      slot_self_weight[s] += self_weight;
-      slot_edges_[s] += twice_edges;
-      slot_self_edges[s] += self_edges;
+      totals_.Add(s, twice_weight, twice_edges);
+      self_totals.Add(s, self_weight, self_edges);
     });
   }
-  double twice_weight = 0.0;
-  double self_weight = 0.0;
-  EdgeId twice_edges = 0;
-  EdgeId self_edges = 0;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    twice_weight += slot_weight_[s];
-    self_weight += slot_self_weight[s];
-    twice_edges += slot_edges_[s];
-    self_edges += slot_self_edges[s];
-  }
   UndirectedPassResult out;
-  out.weight = (twice_weight + self_weight) / 2.0;
-  out.edges = (twice_edges + self_edges) / 2;
+  out.weight = (totals_.TotalWeight() + self_totals.TotalWeight()) / 2.0;
+  out.edges = (totals_.TotalCount() + self_totals.TotalCount()) / 2;
   ReduceAndClear(/*plane=*/0, degrees);
   return out;
 }
@@ -377,23 +311,13 @@ UndirectedPassResult PassEngine::RunUndirectedBuffer(
     DispatchRound(shards, [&](size_t s) {
       Edge* base = edges.data() + start + s * kShardEdges;
       const size_t count = std::min(kShardEdges, round_edges - s * kShardEdges);
-      std::vector<double>& acc = acc_[s];
-      double weight = 0.0;
-      EdgeId kept_edges = 0;
       size_t out_i = 0;
-      for (size_t i = 0; i < count; ++i) {
-        const Edge e = base[i];
-        if (alive.ContainsBoth(e.u, e.v)) {
-          acc[e.u] += e.w;
-          acc[e.v] += e.w;
-          weight += e.w;
-          ++kept_edges;
-          if (compact) base[out_i++] = e;
-        }
-      }
+      const UndirectedPassResult r = AccumulateUndirectedShard(
+          {base, count}, alive, acc_[s].data(), [&](const Edge& e) {
+            if (compact) base[out_i++] = e;  // out_i never passes e
+          });
       kept[s] = compact ? out_i : count;
-      slot_weight_[s] += weight;
-      slot_edges_[s] += kept_edges;
+      totals_.Add(s, r.weight, r.edges);
     });
     if (compact) {
       // Stitch the per-shard survivor runs back together in shard order;
@@ -409,11 +333,7 @@ UndirectedPassResult PassEngine::RunUndirectedBuffer(
   }
   if (compact) edges.resize(write);
 
-  UndirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.edges += slot_edges_[s];
-  }
+  const UndirectedPassResult out = totals_.Undirected();
   ReduceAndClear(/*plane=*/0, degrees);
   return out;
 }
@@ -430,30 +350,21 @@ DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
     stream.Reset();
     return RunDirectedCsr(*g, s_set, t_set, out_to_t, in_from_s, cancel);
   }
-  EnsureBatchBuffer();
-  stream.Reset();
-
   if (UseDirectPath(stream)) {
     std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
     std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
     DirectedPassResult out;
-    for (;;) {
-      if (ShouldStop(cancel)) break;
-      std::span<const Edge> view =
-          stream.NextView(batch_.data(), batch_.size());
-      if (view.empty()) break;
-      for (const Edge& e : view) {
-        if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
-          out_to_t[e.u] += e.w;
-          in_from_s[e.v] += e.w;
-          out.weight += e.w;
-          ++out.arcs;
-        }
-      }
-    }
+    ForEachView(stream, cancel, [&](std::span<const Edge> view) {
+      const DirectedPassResult r = AccumulateDirectedShard(
+          view, s_set, t_set, out_to_t.data(), in_from_s.data());
+      out.weight += r.weight;
+      out.arcs += r.arcs;
+    });
     return out;
   }
 
+  EnsureBatchBuffer();
+  stream.Reset();
   EnsureAccumulators(out_to_t.size(), /*planes=*/2);
   std::array<std::span<const Edge>, kShardSlots> shards;
   for (;;) {
@@ -461,29 +372,15 @@ DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
     const size_t count = FillShards(stream, shards);
     if (count == 0) break;
     DispatchRound(count, [&](size_t s) {
-      std::vector<double>& out_acc = acc_[s];
-      std::vector<double>& in_acc = acc_[kShardSlots + s];
-      double weight = 0.0;
-      EdgeId arcs = 0;
-      for (const Edge& e : shards[s]) {
-        if (s_set.Contains(e.u) && t_set.Contains(e.v)) {
-          out_acc[e.u] += e.w;
-          in_acc[e.v] += e.w;
-          weight += e.w;
-          ++arcs;
-        }
-      }
-      slot_weight_[s] += weight;
-      slot_edges_[s] += arcs;
+      const DirectedPassResult r =
+          AccumulateDirectedShard(shards[s], s_set, t_set, acc_[s].data(),
+                                  acc_[kShardSlots + s].data());
+      totals_.Add(s, r.weight, r.arcs);
     });
     if (count < kShardSlots) break;
   }
 
-  DirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.arcs += slot_edges_[s];
-  }
+  const DirectedPassResult out = totals_.Directed();
   ReduceAndClear(/*plane=*/0, out_to_t);
   ReduceAndClear(/*plane=*/1, in_from_s);
   return out;
@@ -554,15 +451,10 @@ DirectedPassResult PassEngine::RunDirectedCsr(const DirectedGraph& g,
         out_acc[u] += row;
         weight += row;
       }
-      slot_weight_[s] += weight;
-      slot_edges_[s] += arcs;
+      totals_.Add(s, weight, arcs);
     });
   }
-  DirectedPassResult out;
-  for (size_t s = 0; s < kShardSlots; ++s) {
-    out.weight += slot_weight_[s];
-    out.arcs += slot_edges_[s];
-  }
+  const DirectedPassResult out = totals_.Directed();
   ReduceAndClear(/*plane=*/0, out_to_t);
   ReduceAndClear(/*plane=*/1, in_from_s);
   return out;

@@ -5,11 +5,13 @@
 // one-virtual-call-per-edge scalar loop.
 //
 // The engine is fast at three layers:
-//   1. batching    — edges are pulled kShardEdges at a time through
-//                    EdgeStream::NextBatch, so the per-edge virtual dispatch
-//                    disappears from the hot loop;
-//   2. word-packed — alive-set membership is tested with NodeSet's
-//                    branchless word-packed ContainsBoth;
+//   1. batching    — edges arrive as zero-copy EdgeStream::NextView views
+//                    (a whole round per view on the sequential unit-weight
+//                    path, one kShardEdges shard per view when slotted), so
+//                    the per-edge virtual dispatch leaves the hot loop;
+//   2. alive-first — each view is filtered a block at a time with NodeSet's
+//                    word-packed ContainsBoth, and only the survivors touch
+//                    the degree arrays (core/alive_kernel.h);
 //   3. parallel    — each round of kShardSlots shards fans out across a
 //                    ThreadPool into per-slot degree accumulators.
 //
@@ -29,25 +31,12 @@
 
 #include "common/cancel.h"
 #include "common/thread_pool.h"
+#include "core/alive_kernel.h"
 #include "graph/subgraph.h"
 #include "graph/types.h"
 #include "stream/edge_stream.h"
 
 namespace densest {
-
-/// \brief One streaming pass worth of undirected statistics over the alive
-/// set S: induced edge count and induced total weight.
-struct [[nodiscard]] UndirectedPassResult {
-  EdgeId edges = 0;
-  double weight = 0;
-};
-
-/// \brief One streaming pass of directed statistics: |E(S,T)| count and
-/// weight.
-struct [[nodiscard]] DirectedPassResult {
-  EdgeId arcs = 0;
-  double weight = 0;
-};
 
 /// \brief Knobs for a PassEngine.
 struct PassEngineOptions {
@@ -84,9 +73,9 @@ class PassEngine {
   /// reading through `next_view(scratch, cap)` into `batch` (capacity
   /// kShardSlots * kShardEdges). This is THE shard-boundary schedule of the
   /// deterministic reduction: boundaries derive only from the view source,
-  /// never from the thread count. Single-sourced here because
-  /// MultiRunEngine's fused accumulation must replicate it exactly — change
-  /// the schedule in one place or the fused/sequential bit-identity breaks.
+  /// never from the thread count. Both engines fill their rounds here and
+  /// run every shard through the alive-first kernel, so the fused and
+  /// sequential schedules cannot drift apart.
   template <typename NextViewFn>
   static size_t FillShardRound(
       NextViewFn&& next_view, Edge* batch,
@@ -153,20 +142,17 @@ class PassEngine {
   /// sketch updates). Zero-copy where the stream supports NextView.
   template <typename Fn>
   void ForEachEdgeBatched(EdgeStream& stream, Fn&& fn) {
-    stream.Reset();
-    EnsureBatchBuffer();
-    for (;;) {
-      std::span<const Edge> view = stream.NextView(batch_.data(), batch_.size());
-      if (view.empty()) break;
+    ForEachView(stream, nullptr, [&](std::span<const Edge> view) {
       for (const Edge& e : view) fn(e);
-    }
+    });
   }
 
-  /// Batched drain filtered to edges with both endpoints in `alive`.
+  /// Batched drain filtered to edges with both endpoints in `alive`,
+  /// through the alive-first kernel; fn must not modify `alive`.
   template <typename Fn>
   void ForEachAliveEdge(EdgeStream& stream, const NodeSet& alive, Fn&& fn) {
-    ForEachEdgeBatched(stream, [&](const Edge& e) {
-      if (alive.ContainsBoth(e.u, e.v)) fn(e);
+    ForEachView(stream, nullptr, [&](std::span<const Edge> view) {
+      AliveFirst(view, BothAlive{alive}, fn);
     });
   }
 
@@ -191,6 +177,21 @@ class PassEngine {
                                     std::vector<double>& in_from_s,
                                     const CancelToken* cancel);
 
+  /// Invokes fn(view) for the views of one full pass over `stream`, up to
+  /// a whole batch buffer each; a non-null `cancel` is polled per view.
+  template <typename Fn>
+  void ForEachView(EdgeStream& stream, const CancelToken* cancel, Fn&& fn) {
+    stream.Reset();
+    EnsureBatchBuffer();
+    for (;;) {
+      if (ShouldStop(cancel)) break;
+      std::span<const Edge> view =
+          stream.NextView(batch_.data(), batch_.size());
+      if (view.empty()) break;
+      fn(view);
+    }
+  }
+
   /// FillShardRound over the stream and this engine's batch buffer.
   size_t FillShards(EdgeStream& stream,
                     std::array<std::span<const Edge>, kShardSlots>& shards);
@@ -201,11 +202,10 @@ class PassEngine {
   void EnsureAccumulators(size_t n, size_t planes);
   /// Runs fn(slot) for each shard of the round, on the pool if present.
   void DispatchRound(size_t shards, const std::function<void(size_t)>& fn);
-  /// degrees[u] = sum over slots (in slot order) of plane[slot][u]; re-zeros
-  /// the slot vectors so the next pass starts clean without a memset.
-  /// Mirrored by MultiRunEngine's per-run reduction — keep the summation
-  /// order in sync (it is part of the fused/sequential bit-identity).
-  void ReduceAndClear(size_t plane, std::vector<double>& degrees);
+  /// ReduceSlots over the kShardSlots slot vectors of `plane`.
+  void ReduceAndClear(size_t plane, std::vector<double>& degrees) {
+    ReduceSlots({acc_.data() + plane * kShardSlots, kShardSlots}, degrees);
+  }
 
   /// True when this pass may skip the slot structure entirely and
   /// accumulate into the output arrays in stream order: sequential
@@ -231,8 +231,7 @@ class PassEngine {
   // happen-before ReduceAndClear reads them. Nothing here may be touched
   // while a round is in flight.
   std::vector<std::vector<double>> acc_;
-  std::array<double, kShardSlots> slot_weight_;
-  std::array<EdgeId, kShardSlots> slot_edges_;
+  SlotTotals<kShardSlots> totals_;
   // Per-slot survivor staging for RunUndirectedCollect (flushed in slot
   // order after every round to preserve stream order).
   std::array<std::vector<Edge>, kShardSlots> slot_survivors_;

@@ -58,10 +58,10 @@ StatusOr<ExactDensestResult> ExactDensestSubgraph(
   double best_density = total_weight / static_cast<double>(n);
 
   for (int iter = 0; iter < options.max_iterations; ++iter) {
-    // Per-iteration poll; MaxFlow additionally polls per BFS phase (via
-    // set_cancel above) and returns a partial flow when tripped, so the
-    // re-check after the solve is what keeps a truncated flow value from
-    // being mistaken for a converged one.
+    // Per-iteration poll; MaxFlow additionally polls per BFS phase (the
+    // token went in through DinicOptions::cancel above) and returns a
+    // partial flow when tripped, so the re-check after the solve is what
+    // keeps a truncated flow value from being mistaken for a converged one.
     if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
     const double guess = best_density;
     for (NodeId u = 0; u < n; ++u) {

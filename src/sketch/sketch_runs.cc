@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "core/alive_kernel.h"
+
 namespace densest {
 
 SketchedAlgorithm1Run::SketchedAlgorithm1Run(
@@ -121,16 +123,13 @@ class FusedSketchedRun final : public MultiRunEngine::FusedRun {
   }
   bool parallel_shards() const override { return false; }
   void AccumulateShard(std::span<const Edge> shard, size_t) override {
-    const NodeSet& alive = run_.alive();
     DegreeOracle& oracle = run_.oracle();
-    for (const Edge& e : shard) {
-      if (alive.ContainsBoth(e.u, e.v)) {
-        oracle.AddIncidence(e.u, e.w);
-        oracle.AddIncidence(e.v, e.w);
-        weight_ += e.w;
-        ++edges_;
-      }
-    }
+    AliveFirst(shard, BothAlive{run_.alive()}, [&](const Edge& e) {
+      oracle.AddIncidence(e.u, e.w);
+      oracle.AddIncidence(e.v, e.w);
+      weight_ += e.w;
+      ++edges_;
+    });
   }
   void FinishPass() override {
     UndirectedPassResult stats;

@@ -18,6 +18,7 @@
 #include "core/algorithm2.h"
 #include "core/algorithm3.h"
 #include "core/peel_runs.h"
+#include "gen/chung_lu.h"
 #include "gen/erdos_renyi.h"
 #include "graph/graph_builder.h"
 #include "stream/file_stream.h"
@@ -466,6 +467,124 @@ TEST(PeelRunsTest, Algorithm1RunMatchesDriver) {
   EXPECT_EQ(got.density, want->density);
   EXPECT_EQ(got.passes, want->passes);
   EXPECT_EQ(got.nodes, want->nodes);
+}
+
+// ---------------------------------------------------------------------------
+// The alive-first kernel inside fused runs: weighted streams longer than one
+// engine round, peeled until most streamed edges are dead.
+
+/// A weighted heavy-tailed graph of more than one engine round of edges.
+EdgeList DeepPeelGraph(bool directed, uint64_t seed) {
+  ChungLuOptions o;
+  o.num_nodes = 4000;
+  o.num_edges = 200000;
+  o.directed = directed;
+  EdgeList el = ChungLu(o, seed);
+  Rng rng(seed + 1);
+  for (Edge& e : el.mutable_edges()) e.w = 0.25 + rng.UniformDouble();
+  return el;
+}
+
+/// True when a pass after the first kept less than a third of the first
+/// pass's weight: most edges of the stream were dead by then.
+template <typename Snapshot>
+bool MostlyDeadPassSeen(const std::vector<Snapshot>& trace) {
+  for (size_t i = 1; i < trace.size(); ++i) {
+    if (3 * trace[i].weight < trace[0].weight) return true;
+  }
+  return false;
+}
+
+TEST(MultiRunAliveKernelTest, FusedAlgorithms1And2MatchSequentialAfterPeels) {
+  EdgeList el = DeepPeelGraph(/*directed=*/false, 83);
+  ASSERT_GT(el.edges().size(),
+            PassEngine::kShardSlots * PassEngine::kShardEdges);
+  EdgeListStream stream(el);
+
+  std::vector<Algorithm1Options> alg1(3);
+  alg1[0].epsilon = 0.1;
+  alg1[1].epsilon = 0.5;
+  alg1[2].epsilon = 0.1;
+  alg1[2].compact_below_edges = 20000;  // the fused collect pass
+  std::vector<UndirectedDensestResult> seq1;
+  for (const Algorithm1Options& o : alg1) {
+    auto r = RunAlgorithm1(stream, o);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(MostlyDeadPassSeen(r->trace));
+    seq1.push_back(std::move(*r));
+  }
+
+  std::vector<Algorithm2Options> alg2(2);
+  alg2[0].epsilon = 0.5;
+  alg2[1].epsilon = 0.5;
+  alg2[1].min_size = 200;
+  std::vector<UndirectedDensestResult> seq2;
+  for (const Algorithm2Options& o : alg2) {
+    auto r = RunAlgorithm2(stream, o);
+    ASSERT_TRUE(r.ok());
+    seq2.push_back(std::move(*r));
+  }
+
+  for (MultiRunFanOut fan_out :
+       {MultiRunFanOut::kRunMajor, MultiRunFanOut::kWorkMajor}) {
+    for (size_t threads : {1u, 4u}) {
+      const std::string label =
+          "fan_out=" + std::to_string(static_cast<int>(fan_out)) +
+          " threads=" + std::to_string(threads);
+      MultiRunEngine engine(
+          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
+      auto fused1 = engine.RunUndirectedRuns(stream, alg1);
+      ASSERT_TRUE(fused1.ok()) << label;
+      for (size_t i = 0; i < alg1.size(); ++i) {
+        ExpectSameUndirected(seq1[i], (*fused1)[i],
+                             "alg1 " + label + " run=" + std::to_string(i));
+      }
+      auto fused2 = engine.RunUndirectedRuns(stream, alg2);
+      ASSERT_TRUE(fused2.ok()) << label;
+      for (size_t i = 0; i < alg2.size(); ++i) {
+        ExpectSameUndirected(seq2[i], (*fused2)[i],
+                             "alg2 " + label + " run=" + std::to_string(i));
+      }
+    }
+  }
+}
+
+TEST(MultiRunAliveKernelTest, FusedAlgorithm3MatchesSequentialAfterPeels) {
+  EdgeList el = DeepPeelGraph(/*directed=*/true, 89);
+  ASSERT_GT(el.edges().size(),
+            PassEngine::kShardSlots * PassEngine::kShardEdges);
+  EdgeListStream stream(el);
+
+  std::vector<Algorithm3Options> grid;
+  for (double c : {0.5, 1.0, 2.0}) {
+    Algorithm3Options o;
+    o.c = c;
+    o.epsilon = 0.5;
+    grid.push_back(o);
+  }
+  std::vector<DirectedDensestResult> seq;
+  for (const Algorithm3Options& o : grid) {
+    auto r = RunAlgorithm3(stream, o);
+    ASSERT_TRUE(r.ok());
+    EXPECT_TRUE(MostlyDeadPassSeen(r->trace));
+    seq.push_back(std::move(*r));
+  }
+  for (MultiRunFanOut fan_out :
+       {MultiRunFanOut::kRunMajor, MultiRunFanOut::kWorkMajor}) {
+    for (size_t threads : {1u, 4u}) {
+      const std::string label =
+          "fan_out=" + std::to_string(static_cast<int>(fan_out)) +
+          " threads=" + std::to_string(threads);
+      MultiRunEngine engine(
+          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
+      auto fused = engine.RunDirectedRuns(stream, grid);
+      ASSERT_TRUE(fused.ok()) << label;
+      for (size_t i = 0; i < grid.size(); ++i) {
+        ExpectSameDirected(seq[i], (*fused)[i],
+                           label + " run=" + std::to_string(i));
+      }
+    }
+  }
 }
 
 }  // namespace

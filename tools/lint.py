@@ -298,8 +298,8 @@ class Linter:
     NODISCARD_TYPES = {
         "Status": "src/common/status.h",
         "StatusOr": "src/common/status.h",
-        "UndirectedPassResult": "src/core/pass_engine.h",
-        "DirectedPassResult": "src/core/pass_engine.h",
+        "UndirectedPassResult": "src/core/alive_kernel.h",
+        "DirectedPassResult": "src/core/alive_kernel.h",
         "MrDensestResult": "src/mapreduce/mr_densest.h",
         "MrDirectedResult": "src/mapreduce/mr_densest.h",
         "RestoredEngine": "src/dynamic/snapshot.h",
