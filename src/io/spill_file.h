@@ -1,9 +1,11 @@
 // Copyright 2026 The densest Authors.
 // Temp-file spill store for the MapReduce shuffle: when a shuffle partition
 // outgrows its memory budget, its sorted runs are serialized here and
-// merge-read back at reduce time, so resident shuffle memory is bounded by
-// the budget instead of by |E|. Byte-oriented: callers frame their own
-// records (the shuffle writes arrays of trivially-copyable KV structs).
+// merge-read back at reduce time, so resident shuffle memory follows the
+// budget instead of |E| (the budget, plus one map round's output, plus
+// merge refill buffers; see mapreduce/job.h).
+// Byte-oriented: callers frame their own records (the shuffle writes
+// arrays of trivially-copyable KV structs).
 //
 // Failure model mirrors the edge streams' sticky status(): a short read
 // before a segment is exhausted is an IOError ("truncated spill file"),
@@ -27,9 +29,9 @@ namespace densest {
 
 /// \brief One append-only temp file of spilled bytes, deleted when the
 /// object dies. Writes happen single-threaded (the shuffle appends runs in
-/// chunk order); reads go through independent Reader cursors, each with its
-/// own FILE handle, so the merge phase may read several runs of the same
-/// file concurrently.
+/// chunk order). The shuffle's merge reads all of a file's runs through
+/// the one shared positioned-read handle (ReadAt). OpenReader gives an
+/// independent sequential cursor with its own FILE handle over one segment.
 class SpillFile {
  public:
   /// Creates a uniquely-named spill file in `dir` ("" uses the system temp

@@ -9,8 +9,13 @@
 // EdgeStream chunked through a PassCursor (mapreduce/stream_source.h), or
 // a concatenation of sources — so the MR drivers run on the same
 // out-of-core inputs as the streaming engines. The shuffle spills sorted
-// runs to temp files under a byte budget (mapreduce/shuffle.h), keeping
-// resident memory bounded by the budget instead of |E|.
+// runs to temp files under a byte budget (mapreduce/shuffle.h), so its
+// resident memory follows the budget instead of |E|. The budget is a spill
+// threshold, not a cap: resident shuffle memory is the partitions' shares
+// of it, plus one map round's output (held until appended, and able to push
+// a partition past its share, because the spill check runs after each
+// appended chunk), plus at reduce time a merge refill buffer of at least 64
+// records per run.
 //
 // Determinism: map chunks have a fixed record count (independent of the
 // thread count), their outputs are merged into the shuffle in chunk order,
@@ -23,6 +28,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -202,20 +208,21 @@ uint64_t MapCombineChunk(const std::vector<KV<K1, V1>>& input,
   }
   const uint64_t raw = out.size();
   if constexpr (!std::is_same_v<std::decay_t<CombineFn>, std::nullptr_t>) {
-    // Combine chunk-locally: group by key, partially reduce.
-    std::stable_sort(out.begin(), out.end(),
-                     [](const KV<K2, V2>& a, const KV<K2, V2>& b) {
-                       return a.key < b.key;
-                     });
-    std::vector<KV<K2, V2>> combined;
-    Emitter<K2, V2> combine_emitter(&combined);
-    combine_emitter.Reserve(out.size());
+    // Combine chunk-locally: group by key, partially reduce. `combined`
+    // doubles as the radix sort's scatter buffer; the groups are read from
+    // whichever buffer holds the sorted records and emitted into the other.
+    const size_t n = out.size();
+    std::vector<KV<K2, V2>> combined(n);
+    const KV<K2, V2>* sorted = RadixSortByKey(out.data(), combined.data(), n);
+    std::vector<KV<K2, V2>>& target = sorted == out.data() ? combined : out;
+    target.clear();
+    Emitter<K2, V2> combine_emitter(&target);
     std::vector<V2> values;
-    ForEachGroup(out, &values,
+    ForEachGroup(std::span(sorted, n), &values,
                  [&](const K2& key, const std::vector<V2>& vs) {
                    combine_fn(key, vs, combine_emitter);
                  });
-    out = std::move(combined);
+    if (&target == &combined) out = std::move(combined);
   }
   return raw;
 }
@@ -225,8 +232,9 @@ uint64_t MapCombineChunk(const std::vector<KV<K1, V1>>& input,
 /// Runs one MapReduce job over a RecordSource, optionally with a
 /// Hadoop-style map-side combiner and a spill budget on the shuffle.
 ///
-/// \tparam K2/V2 intermediate key/value (K2 needs operator< and ==; both
-///         must be trivially copyable — shuffle records may hit disk).
+/// \tparam K2/V2 intermediate key/value. K2 must be an unsigned integer of
+///         at most 64 bits (the shuffle radix-sorts on it); both must be
+///         trivially copyable — shuffle records may hit disk.
 /// \param map_fn     void(const K1&, const V1&, Emitter<K2,V2>&)
 /// \param combine_fn type-preserving partial reduction applied per map
 ///        chunk before the shuffle:

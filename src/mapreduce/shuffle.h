@@ -1,22 +1,29 @@
 // Copyright 2026 The densest Authors.
 // The spill-capable shuffle of the MapReduce engine. Map output is
 // hash-partitioned as it arrives (in chunk order); a partition whose
-// in-memory buffer exceeds its share of the byte budget stable-sorts the
-// buffer and serializes it to a SpillFile as one sorted run. At reduce time
-// the partition's runs (spilled runs + the in-memory tail) are merge-read
-// in key order with run-index tie-breaking, which reproduces exactly the
-// stable-sorted order of the full append sequence — so job output is
-// byte-identical whether zero, some, or all partitions spilled.
+// in-memory buffer exceeds its share of the byte budget radix-sorts the
+// buffer by key (stably) and serializes it to a SpillFile as one sorted run.
+// At reduce time the partition's runs (spilled runs + the in-memory tail)
+// are merged through a loser tree in (key, run index) order, which
+// reproduces exactly the stable-sorted order of the full append sequence —
+// so job output is byte-identical whether zero, some, or all partitions
+// spilled.
+//
+// Keys are unsigned integers, so every sort here is an LSD radix sort
+// (RadixSortByKey) and every merge compare is one integer compare of a
+// packed (key, run) head (LoserTree).
 
 #ifndef DENSEST_MAPREDUCE_SHUFFLE_H_
 #define DENSEST_MAPREDUCE_SHUFFLE_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -33,10 +40,10 @@ struct KV;
 
 /// Walks a key-sorted record range and invokes fn(key, values) once per
 /// distinct key. `values` is caller-owned scratch reused across groups.
-/// The one grouping loop behind the combiner, the in-memory reduce path,
-/// and (conceptually) the merge-read — keep their semantics in one place.
+/// The one grouping loop behind the combiner and the in-memory reduce
+/// path; the spill merge groups the same way, run by run, in MergeReduce.
 template <typename K, typename V, typename GroupFn>
-void ForEachGroup(const std::vector<KV<K, V>>& sorted, std::vector<V>* values,
+void ForEachGroup(std::span<const KV<K, V>> sorted, std::vector<V>* values,
                   GroupFn&& fn) {
   size_t i = 0;
   while (i < sorted.size()) {
@@ -51,11 +58,145 @@ void ForEachGroup(const std::vector<KV<K, V>>& sorted, std::vector<V>* values,
   }
 }
 
+/// Ranges shorter than this are insertion-sorted in place: below it, the
+/// histogram clears of a radix pass cost more than the sort itself.
+inline constexpr size_t kRadixSortSmallN = 64;
+/// Bits per radix digit. 11 keeps a digit's counts (16 KiB) in L1 and sorts
+/// the 18-bit node ids of a 200k-node graph in two passes.
+inline constexpr int kRadixDigitBits = 11;
+
+/// \brief Stable LSD radix sort of data[0, n) by the unsigned key.
+///
+/// `scratch` must have room for n records. The sorted records end up in
+/// whichever of the two buffers is returned; the other holds leftovers.
+/// Records with equal keys keep their input order, so the result is exactly
+/// that of a stable comparison sort by key. Digits start at the lowest bit on
+/// which two keys differ and skip every window of bits on which all keys
+/// agree, so the pass count follows the key spread, not the key width.
+template <typename K, typename V>
+KV<K, V>* RadixSortByKey(KV<K, V>* data, KV<K, V>* scratch, size_t n) {
+  static_assert(std::is_unsigned_v<K> && sizeof(K) <= sizeof(uint64_t),
+                "shuffle keys must be unsigned integers of at most 64 bits");
+  if (n < kRadixSortSmallN) {
+    for (size_t i = 1; i < n; ++i) {
+      const KV<K, V> rec = data[i];
+      size_t j = i;
+      for (; j > 0 && rec.key < data[j - 1].key; --j) data[j] = data[j - 1];
+      data[j] = rec;
+    }
+    return data;
+  }
+  uint64_t any = 0;
+  uint64_t all = ~uint64_t{0};
+  for (size_t i = 0; i < n; ++i) {
+    any |= data[i].key;
+    all &= data[i].key;
+  }
+  constexpr int kKeyBits = 8 * sizeof(K);
+  constexpr int kMaxDigits = (kKeyBits + kRadixDigitBits - 1) / kRadixDigitBits;
+  constexpr size_t kBuckets = size_t{1} << kRadixDigitBits;
+  constexpr uint64_t kMask = kBuckets - 1;
+  // Each digit window starts at the lowest still-differing bit; windows
+  // are disjoint, so there are at most kMaxDigits of them.
+  int shifts[kMaxDigits] = {};
+  int digits = 0;
+  for (uint64_t differ = any ^ all; differ != 0;) {
+    const int shift = std::countr_zero(differ);
+    shifts[digits++] = shift;
+    const int next = shift + kRadixDigitBits;
+    differ = next >= 64 ? 0 : differ & (~uint64_t{0} << next);
+  }
+  size_t counts[kMaxDigits][kBuckets] = {};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = data[i].key;
+    for (int d = 0; d < digits; ++d) ++counts[d][(key >> shifts[d]) & kMask];
+  }
+  KV<K, V>* src = data;
+  KV<K, V>* dst = scratch;
+  for (int d = 0; d < digits; ++d) {
+    size_t* offsets = counts[d];
+    size_t sum = 0;
+    for (size_t b = 0; b < kBuckets; ++b) {
+      const size_t c = offsets[b];
+      offsets[b] = sum;
+      sum += c;
+    }
+    const int shift = shifts[d];
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key = src[i].key;
+      dst[offsets[(key >> shift) & kMask]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+/// \brief Loser tree for the R-way merge of sorted runs.
+///
+/// Each run's head is packed into one unsigned integer, key above run
+/// index, so a single integer compare orders heads by (key, run index) and
+/// each level of a replay is one compare and a branch-free min/max. An
+/// exhausted run packs to all ones (kExhausted), which sorts after every
+/// real head: a real head's run index is below 2^32 - 1, so even a key of
+/// all ones packs to something smaller.
+template <typename K>
+class LoserTree {
+ public:
+  static_assert(std::is_unsigned_v<K> && sizeof(K) <= sizeof(uint64_t),
+                "merge keys must be unsigned integers of at most 64 bits");
+  using Head = std::conditional_t<sizeof(K) <= 4, uint64_t, unsigned __int128>;
+  static constexpr Head kExhausted = ~Head{0};
+  /// Runs a tree can merge: run indices stay below the all-ones pattern.
+  static constexpr size_t kMaxRuns = std::numeric_limits<uint32_t>::max() - 1;
+
+  static Head Pack(K key, uint32_t run) { return Head{key} << 32 | run; }
+  static K KeyOf(Head head) { return static_cast<K>(head >> 32); }
+  static uint32_t RunOf(Head head) { return static_cast<uint32_t>(head); }
+
+  /// `heads[r]` is run r's first head (Pack(key, r), or kExhausted for an
+  /// empty run); 1 <= heads.size() <= kMaxRuns.
+  explicit LoserTree(const std::vector<Head>& heads) {
+    while (leaves_ < heads.size()) leaves_ <<= 1;
+    // Play the initial tournament bottom-up: each internal node keeps the
+    // loser of its match and passes the winner up.
+    std::vector<Head> winners(2 * leaves_, kExhausted);
+    std::copy(heads.begin(), heads.end(), winners.begin() + leaves_);
+    losers_.assign(leaves_, kExhausted);
+    for (size_t i = leaves_ - 1; i > 0; --i) {
+      losers_[i] = std::max(winners[2 * i], winners[2 * i + 1]);
+      winners[i] = std::min(winners[2 * i], winners[2 * i + 1]);
+    }
+    winner_ = winners[1];
+  }
+
+  /// Smallest head over all runs; kExhausted once every run is.
+  Head winner() const { return winner_; }
+
+  /// Replaces the winning run's head with `head` (its next record's
+  /// Pack(key, run), or kExhausted) and replays its path to the root.
+  /// Requires winner() != kExhausted.
+  void ReplaceWinner(Head head) {
+    for (size_t i = (leaves_ + RunOf(winner_)) >> 1; i > 0; i >>= 1) {
+      const Head loser = losers_[i];
+      losers_[i] = std::max(head, loser);
+      head = std::min(head, loser);
+    }
+    winner_ = head;
+  }
+
+ private:
+  size_t leaves_ = 1;
+  std::vector<Head> losers_;  // losers_[i]: loser of internal node i (i >= 1)
+  Head winner_ = kExhausted;
+};
+
 /// \brief Knobs for one MapReduce job's execution (not its semantics).
 struct JobOptions {
   /// Total in-memory shuffle budget in bytes, shared evenly by the
-  /// partitions; a partition whose buffer exceeds its share spills a
-  /// sorted run to disk. 0 = never spill (whole shuffle stays resident).
+  /// partitions; a partition whose buffer exceeds its share after an
+  /// appended chunk spills a sorted run to disk. A spill threshold, not a
+  /// hard cap on resident memory (see mapreduce/job.h). 0 = never spill
+  /// (whole shuffle stays resident).
   uint64_t spill_budget_bytes = 0;
   /// Directory for spill files ("" = the system temp directory).
   std::string spill_dir;
@@ -176,16 +317,17 @@ class ShuffleWriter {
   template <typename GroupFn>
   Status ReducePartition(size_t p, std::vector<V>* values, GroupFn&& fn) {
     Partition& part = partitions_[p];
-    std::stable_sort(part.buffer.begin(), part.buffer.end(),
-                     [](const KV<K, V>& a, const KV<K, V>& b) {
-                       return a.key < b.key;
-                     });
+    const size_t n = part.buffer.size();
+    std::unique_ptr<KV<K, V>[]> scratch =
+        std::make_unique_for_overwrite<KV<K, V>[]>(n);
+    const std::span<const KV<K, V>> tail(
+        RadixSortByKey(part.buffer.data(), scratch.get(), n), n);
     if (part.run_records.empty()) {
-      // Fast path: nothing spilled, group the in-memory buffer directly.
-      ForEachGroup(part.buffer, values, std::forward<GroupFn>(fn));
+      // Fast path: nothing spilled, group the sorted tail directly.
+      ForEachGroup(tail, values, std::forward<GroupFn>(fn));
       return Status::OK();
     }
-    return MergeReduce(part, values, std::forward<GroupFn>(fn));
+    return MergeReduce(part, tail, values, std::forward<GroupFn>(fn));
   }
 
  private:
@@ -205,7 +347,7 @@ class ShuffleWriter {
   class RunCursor {
    public:
     /// Spilled run over file bytes [offset, offset + length), refilled in
-    /// refill_records batches.
+    /// refill_records batches. Empty until the first Refill().
     RunCursor(SpillFile* file, uint64_t offset, uint64_t length,
               size_t refill_records, uint64_t* read_bytes)
         : file_(file),
@@ -214,26 +356,30 @@ class ShuffleWriter {
           refill_records_(std::max<size_t>(1, refill_records)),
           read_bytes_(read_bytes) {}
     /// In-memory tail run (already sorted): zero-copy walk.
-    explicit RunCursor(const std::vector<KV<K, V>>* tail) : tail_(tail) {}
+    explicit RunCursor(std::span<const KV<K, V>> tail)
+        : data_(tail.data()), end_(tail.size()) {}
 
-    bool exhausted() const { return exhausted_; }
-    const KV<K, V>& Front() const {
-      return tail_ != nullptr ? (*tail_)[pos_] : buf_[pos_];
-    }
-    Status Advance() {
-      ++pos_;
-      return EnsureFront();
-    }
-    Status EnsureFront() {
-      if (tail_ != nullptr) {
-        exhausted_ = pos_ >= tail_->size();
-        return Status::OK();
+    bool exhausted() const { return pos_ == end_; }
+    K front_key() const { return data_[pos_].key; }
+
+    /// Appends the values of the run's leading records with key `key` to
+    /// `values`, refilling across batch boundaries. Leaves the cursor on
+    /// the first record with another key, or exhausted.
+    Status TakeKey(K key, std::vector<V>* values) {
+      while (true) {
+        while (pos_ < end_ && data_[pos_].key == key) {
+          values->push_back(data_[pos_++].value);
+        }
+        if (pos_ < end_) return Status::OK();
+        if (Status s = Refill(); !s.ok()) return s;
+        if (exhausted()) return Status::OK();
       }
-      if (pos_ < buf_.size()) return Status::OK();
-      if (remaining_ == 0) {
-        exhausted_ = true;
-        return Status::OK();
-      }
+    }
+
+    /// Loads the next batch once the buffered records are used up; a run
+    /// with nothing left to read stays exhausted.
+    Status Refill() {
+      if (pos_ < end_ || remaining_ == 0) return Status::OK();
       buf_.resize(refill_records_);
       const size_t want = static_cast<size_t>(std::min<uint64_t>(
           refill_records_ * sizeof(KV<K, V>), remaining_));
@@ -250,9 +396,9 @@ class ShuffleWriter {
       offset_ += *got;
       remaining_ -= *got;
       *read_bytes_ += *got;
-      buf_.resize(*got / sizeof(KV<K, V>));
+      data_ = buf_.data();
       pos_ = 0;
-      exhausted_ = buf_.empty();
+      end_ = *got / sizeof(KV<K, V>);
       return Status::OK();
     }
 
@@ -263,9 +409,9 @@ class ShuffleWriter {
     size_t refill_records_ = 0;
     uint64_t* read_bytes_ = nullptr;
     std::vector<KV<K, V>> buf_;
-    const std::vector<KV<K, V>>* tail_ = nullptr;
+    const KV<K, V>* data_ = nullptr;  // buf_ or the tail
     size_t pos_ = 0;
-    bool exhausted_ = false;
+    size_t end_ = 0;
   };
 
   Status SpillRun(Partition& part) {
@@ -276,74 +422,25 @@ class ShuffleWriter {
       if (!spill.ok()) return spill.status();
       part.spill = std::move(*spill);
     }
-    std::stable_sort(part.buffer.begin(), part.buffer.end(),
-                     [](const KV<K, V>& a, const KV<K, V>& b) {
-                       return a.key < b.key;
-                     });
-    const size_t bytes = part.buffer.size() * sizeof(KV<K, V>);
-    if (Status s = part.spill->Append(part.buffer.data(), bytes); !s.ok()) {
-      return s;
-    }
-    part.run_records.push_back(part.buffer.size());
+    const size_t n = part.buffer.size();
+    spill_scratch_.resize(n);
+    const KV<K, V>* sorted =
+        RadixSortByKey(part.buffer.data(), spill_scratch_.data(), n);
+    const size_t bytes = n * sizeof(KV<K, V>);
+    if (Status s = part.spill->Append(sorted, bytes); !s.ok()) return s;
+    part.run_records.push_back(n);
     spill_bytes_written_ += bytes;
     part.buffer.clear();
     return Status::OK();
   }
 
-  /// \brief Tournament (winner) tree over the run cursors: yields records
-  /// in (key, run index) order in O(log R) per advance instead of scanning
-  /// every cursor per distinct key — the merge stays N log R even at tiny
-  /// budget-to-data ratios where hundreds of runs spill. The run-index
-  /// tie-break is part of the comparator, so the merge order (and with it
-  /// the job's output bytes) is identical to the linear scan it replaces.
-  class WinnerTree {
-   public:
-    explicit WinnerTree(std::vector<RunCursor>* runs) : runs_(runs) {
-      // At least two leaves so index 1 is always an internal node that
-      // re-evaluates exhaustion (a one-run tree would alias root and leaf).
-      leaves_ = 2;
-      while (leaves_ < runs->size()) leaves_ <<= 1;
-      tree_.assign(2 * leaves_, kNoRun);
-      for (uint32_t r = 0; r < runs->size(); ++r) {
-        tree_[leaves_ + r] = r;
-      }
-      for (size_t i = leaves_ - 1; i > 0; --i) {
-        tree_[i] = Better(tree_[2 * i], tree_[2 * i + 1]);
-      }
-    }
-
-    /// Cursor index holding the smallest (key, run), kNoRun when all runs
-    /// are exhausted.
-    uint32_t winner() const { return tree_[1]; }
-    static constexpr uint32_t kNoRun = std::numeric_limits<uint32_t>::max();
-
-    /// Re-seats `run` after its cursor advanced (or exhausted).
-    void Update(uint32_t run) {
-      for (size_t i = (leaves_ + run) / 2; i > 0; i /= 2) {
-        tree_[i] = Better(tree_[2 * i], tree_[2 * i + 1]);
-      }
-    }
-
-   private:
-    uint32_t Better(uint32_t a, uint32_t b) const {
-      const bool a_out = a == kNoRun || (*runs_)[a].exhausted();
-      const bool b_out = b == kNoRun || (*runs_)[b].exhausted();
-      if (a_out) return b_out ? kNoRun : b;
-      if (b_out) return a;
-      const K& ka = (*runs_)[a].Front().key;
-      const K& kb = (*runs_)[b].Front().key;
-      if (ka < kb) return a;
-      if (kb < ka) return b;
-      return a < b ? a : b;  // equal keys: the older run wins
-    }
-
-    std::vector<RunCursor>* runs_;
-    size_t leaves_ = 1;
-    std::vector<uint32_t> tree_;
-  };
-
   template <typename GroupFn>
-  Status MergeReduce(Partition& part, std::vector<V>* values, GroupFn&& fn) {
+  Status MergeReduce(Partition& part, std::span<const KV<K, V>> tail,
+                     std::vector<V>* values, GroupFn&& fn) {
+    using Tree = LoserTree<K>;
+    if (part.run_records.size() >= Tree::kMaxRuns) {
+      return Status::Internal("too many spill runs in one partition");
+    }
     if (Status s = part.spill->Flush(); !s.ok()) return s;
     // One cursor per sorted run, ordered oldest run first with the
     // in-memory tail last: tie-breaking on run index then reproduces the
@@ -352,7 +449,7 @@ class ShuffleWriter {
     std::vector<RunCursor> runs;
     runs.reserve(part.run_records.size() + 1);
     // Each cursor's refill buffer is its share of the budget, floored at
-    // 64 records: below that, per-Advance freads dominate the merge. The
+    // 64 records: below that, per-refill reads dominate the merge. The
     // floor can exceed a pathologically tiny budget (the forced-spill
     // tests) — a bounded, documented overshoot, not a correctness issue.
     const size_t refill_records = std::max<size_t>(
@@ -365,25 +462,32 @@ class ShuffleWriter {
                         &part.spill_read_bytes);
       offset += bytes;
     }
-    runs.emplace_back(&part.buffer);
-    for (RunCursor& run : runs) {
-      if (Status s = run.EnsureFront(); !s.ok()) return s;
+    runs.emplace_back(tail);
+    auto head_of = [&runs](uint32_t r) {
+      return runs[r].exhausted() ? Tree::kExhausted
+                                 : Tree::Pack(runs[r].front_key(), r);
+    };
+    std::vector<typename Tree::Head> heads;
+    heads.reserve(runs.size());
+    for (uint32_t r = 0; r < runs.size(); ++r) {
+      if (Status s = runs[r].Refill(); !s.ok()) return s;
+      heads.push_back(head_of(r));
     }
-    // (key, run index) order reproduces the linear scan this replaces: a
-    // key's values drain run 0's equal-key records first, then run 1's,
-    // ... then the tail — the stable sort of the whole append sequence.
-    WinnerTree tree(&runs);
-    while (true) {
-      uint32_t w = tree.winner();
-      if (w == WinnerTree::kNoRun) break;
-      const K key = runs[w].Front().key;  // copy before cursors advance
+    // (key, run index) order: a key's values drain run 0's equal-key
+    // records first, then run 1's, ... then the tail — the stable sort of
+    // the whole append sequence. The winning run hands over all its
+    // records with the key before it is re-seated, so a run with repeated
+    // keys costs one replay per key, not per record.
+    Tree tree(heads);
+    while (tree.winner() != Tree::kExhausted) {
+      const K key = Tree::KeyOf(tree.winner());
       values->clear();
-      while (w != WinnerTree::kNoRun && runs[w].Front().key == key) {
-        values->push_back(runs[w].Front().value);
-        if (Status s = runs[w].Advance(); !s.ok()) return s;
-        tree.Update(w);
-        w = tree.winner();
-      }
+      do {
+        const uint32_t r = Tree::RunOf(tree.winner());
+        if (Status s = runs[r].TakeKey(key, values); !s.ok()) return s;
+        tree.ReplaceWinner(head_of(r));
+      } while (tree.winner() != Tree::kExhausted &&
+               Tree::KeyOf(tree.winner()) == key);
       fn(key, *values);
     }
     return Status::OK();
@@ -394,6 +498,12 @@ class ShuffleWriter {
   std::vector<Partition> partitions_;
   uint64_t records_ = 0;
   uint64_t spill_bytes_written_ = 0;
+  /// SpillRun's radix scatter buffer, kept across spills (Append is
+  /// single-threaded): it grows to the largest spilled buffer, a partition's
+  /// share plus one chunk's records. Allocating it per spill, between the
+  /// growing partition buffers, fragmented the heap: +4 MiB peak RSS on the
+  /// mr-spill benchmark.
+  std::vector<KV<K, V>> spill_scratch_;
 };
 
 }  // namespace densest

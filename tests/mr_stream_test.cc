@@ -1,14 +1,19 @@
 // Tests for the out-of-core MapReduce substrate: stream-backed job inputs
-// (StreamRecordSource over every stream type), the spill path of the
-// shuffle, and the drivers' bit-for-bit equivalence with the streaming
-// algorithms on file- and generator-backed inputs.
+// (StreamRecordSource over every stream type), the shuffle's sort and merge
+// kernels and its spill path (against a comparison-sort reference model),
+// and the drivers' bit-for-bit equivalence with the streaming algorithms on
+// file- and generator-backed inputs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/algorithm1.h"
 #include "core/algorithm3.h"
 #include "gen/erdos_renyi.h"
@@ -368,10 +373,9 @@ TEST(MapInputIoChargeTest, DriverTotalsCoverEveryInputScan) {
                 StreamRecordSource::kDfsRecordBytes);
 }
 
-/// Winner-tree stress: dozens of spilled runs per partition with heavy
-/// key duplication across runs — the merge-read order (and with it the
-/// grouped value order) must be byte-identical to the in-memory path the
-/// tree replaces.
+/// Loser-tree stress: dozens of spilled runs per partition with heavy
+/// key duplication across runs — the merge order (and with it the grouped
+/// value order) must be byte-identical to the never-spilling path.
 TEST(SpillShuffleTest, ManyRunsWithDuplicateKeysMergeIdentically) {
   std::vector<KV<NodeId, NodeId>> records;
   Rng rng(77);
@@ -414,6 +418,365 @@ TEST(SpillShuffleTest, ManyRunsWithDuplicateKeysMergeIdentically) {
     EXPECT_EQ(spilled[i].first, in_memory[i].first) << "group " << i;
     EXPECT_EQ(spilled[i].second, in_memory[i].second) << "group " << i;
   }
+}
+
+// ---- Shuffle kernels: the radix sort and the loser-tree merge. ----
+
+template <typename K>
+std::vector<KV<K, uint32_t>> StableSortedByKey(std::vector<KV<K, uint32_t>> v) {
+  std::stable_sort(v.begin(), v.end(),
+                   [](const auto& a, const auto& b) { return a.key < b.key; });
+  return v;
+}
+
+template <typename K, typename V>
+void ExpectSameRecords(const std::vector<KV<K, V>>& got,
+                       const std::vector<KV<K, V>>& want,
+                       const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key) << what << " i=" << i;
+    ASSERT_EQ(got[i].value, want[i].value) << what << " i=" << i;
+  }
+}
+
+// Radix-sorts `input` and returns the records from whichever buffer the
+// sort reports as holding them.
+template <typename K>
+std::vector<KV<K, uint32_t>> RadixSorted(std::vector<KV<K, uint32_t>> input) {
+  std::vector<KV<K, uint32_t>> scratch(input.size());
+  const KV<K, uint32_t>* sorted =
+      RadixSortByKey(input.data(), scratch.data(), input.size());
+  EXPECT_TRUE(sorted == input.data() || sorted == scratch.data());
+  return {sorted, sorted + input.size()};
+}
+
+// Records with keys drawn by `key_of(rng)` and values = input position, so
+// a value order mismatch among equal keys shows up as a stability bug.
+template <typename K, typename KeyFn>
+std::vector<KV<K, uint32_t>> IndexedRecords(size_t n, uint64_t seed,
+                                            KeyFn key_of) {
+  Rng rng(seed);
+  std::vector<KV<K, uint32_t>> records(n);
+  for (size_t i = 0; i < n; ++i) {
+    records[i] = {key_of(rng), static_cast<uint32_t>(i)};
+  }
+  return records;
+}
+
+template <typename K>
+class ShuffleKernelTest : public ::testing::Test {};
+using ShuffleKeyTypes = ::testing::Types<uint32_t, uint64_t>;
+TYPED_TEST_SUITE(ShuffleKernelTest, ShuffleKeyTypes);
+
+TYPED_TEST(ShuffleKernelTest, MatchesStableSortAcrossLengthsAndKeySpreads) {
+  using K = TypeParam;
+  constexpr K kMax = std::numeric_limits<K>::max();
+  // 0, 1, the insertion-sort cutoff and its neighbours, and 65536 + 7.
+  const size_t m = kRadixSortSmallN;
+  for (size_t n : {size_t{0}, size_t{1}, m - 1, m, m + 1, size_t{65543}}) {
+    // Narrow keys (heavy duplication, one or two digits), node-id-sized
+    // keys, full-width keys, and keys crowded at the top of the range.
+    auto narrow = [](Rng& r) { return static_cast<K>(r.UniformU64(13)); };
+    auto node_ids = [](Rng& r) {
+      return static_cast<K>(r.UniformU64(200000));
+    };
+    auto full = [](Rng& r) { return static_cast<K>(r.NextU64()); };
+    auto top = [&](Rng& r) { return static_cast<K>(kMax - r.UniformU64(3)); };
+    const std::string len = "n=" + std::to_string(n);
+    auto check = [&](const std::vector<KV<K, uint32_t>>& input,
+                     const std::string& what) {
+      ExpectSameRecords(RadixSorted(input), StableSortedByKey(input),
+                        what + " " + len);
+    };
+    check(IndexedRecords<K>(n, 1, narrow), "narrow");
+    check(IndexedRecords<K>(n, 2, node_ids), "node ids");
+    check(IndexedRecords<K>(n, 3, full), "full width");
+    check(IndexedRecords<K>(n, 4, top), "top of range");
+  }
+}
+
+TYPED_TEST(ShuffleKernelTest, AllEqualKeysKeepInputOrder) {
+  using K = TypeParam;
+  for (K key : {K{0}, K{77}, std::numeric_limits<K>::max()}) {
+    for (size_t n : {kRadixSortSmallN - 1, size_t{5000}}) {
+      auto records = IndexedRecords<K>(n, 5, [&](Rng&) { return key; });
+      ExpectSameRecords(RadixSorted(records), records, "all equal");
+    }
+  }
+}
+
+TYPED_TEST(ShuffleKernelTest, DuplicateKeysKeepValueOrder) {
+  using K = TypeParam;
+  // Every key appears many times with distinct values, and the keys differ
+  // only in high bits, so the sort must skip the agreeing low digits and
+  // still keep each key's values in input order.
+  auto records = IndexedRecords<K>(20000, 6, [](Rng& r) {
+    return static_cast<K>(r.UniformU64(4) << (8 * sizeof(K) - 2));
+  });
+  ExpectSameRecords(RadixSorted(records), StableSortedByKey(records),
+                    "high-bit duplicates");
+}
+
+// Merges `runs` (each key-sorted) through a LoserTree, one record per
+// replay, and returns the records in merge order.
+template <typename K>
+std::vector<KV<K, uint32_t>> LoserTreeMerge(
+    const std::vector<std::vector<KV<K, uint32_t>>>& runs) {
+  using Tree = LoserTree<K>;
+  std::vector<size_t> pos(runs.size(), 0);
+  auto head_of = [&](uint32_t r) {
+    return pos[r] == runs[r].size() ? Tree::kExhausted
+                                    : Tree::Pack(runs[r][pos[r]].key, r);
+  };
+  std::vector<typename Tree::Head> heads;
+  heads.reserve(runs.size());
+  for (uint32_t r = 0; r < runs.size(); ++r) heads.push_back(head_of(r));
+  Tree tree(heads);
+  std::vector<KV<K, uint32_t>> out;
+  while (tree.winner() != Tree::kExhausted) {
+    const uint32_t r = Tree::RunOf(tree.winner());
+    EXPECT_EQ(Tree::KeyOf(tree.winner()), runs[r][pos[r]].key);
+    out.push_back(runs[r][pos[r]++]);
+    tree.ReplaceWinner(head_of(r));
+  }
+  return out;
+}
+
+// `num_runs` sorted runs whose lengths and key ranges differ, so they
+// exhaust at different times; run 0 is empty whenever there are several,
+// and every third run ends on the largest key. Values number the records
+// in run-major order.
+template <typename K>
+std::vector<std::vector<KV<K, uint32_t>>> StaggeredRuns(size_t num_runs,
+                                                        uint64_t seed) {
+  constexpr K kMax = std::numeric_limits<K>::max();
+  Rng rng(seed);
+  std::vector<std::vector<KV<K, uint32_t>>> runs(num_runs);
+  uint32_t next_value = 0;
+  for (size_t r = 0; r < num_runs; ++r) {
+    const size_t len = (num_runs > 1 && r == 0) ? 0 : 40 + 37 * (r % 7);
+    const uint64_t range = 5 + 11 * (r % 5);
+    for (size_t i = 0; i < len; ++i) {
+      K key = static_cast<K>(rng.UniformU64(range));
+      if (r % 3 == 2 && i + 3 >= len) key = kMax;
+      runs[r].push_back({key, next_value++});
+    }
+    runs[r] = StableSortedByKey(runs[r]);
+  }
+  return runs;
+}
+
+TYPED_TEST(ShuffleKernelTest, LoserTreeMergesInKeyThenRunOrder) {
+  using K = TypeParam;
+  for (size_t num_runs : {1u, 2u, 3u, 5u, 33u}) {
+    auto runs = StaggeredRuns<K>(num_runs, 100 + num_runs);
+    std::vector<KV<K, uint32_t>> all;
+    for (const auto& run : runs) all.insert(all.end(), run.begin(), run.end());
+    ExpectSameRecords(LoserTreeMerge(runs), StableSortedByKey(all),
+                      "runs=" + std::to_string(num_runs));
+  }
+}
+
+TYPED_TEST(ShuffleKernelTest, LoserTreePacksTheLargestKeyBelowExhausted) {
+  using Tree = LoserTree<TypeParam>;
+  constexpr TypeParam kMax = std::numeric_limits<TypeParam>::max();
+  const auto head = Tree::Pack(kMax, static_cast<uint32_t>(Tree::kMaxRuns));
+  EXPECT_LT(head, Tree::kExhausted);
+  EXPECT_EQ(Tree::KeyOf(head), kMax);
+  EXPECT_EQ(Tree::RunOf(head), Tree::kMaxRuns);
+  // An all-exhausted tree has no winner.
+  Tree tree({Tree::kExhausted, Tree::kExhausted, Tree::kExhausted});
+  EXPECT_EQ(tree.winner(), Tree::kExhausted);
+}
+
+TYPED_TEST(ShuffleKernelTest, SpilledRunsMergeToTheStableGroups) {
+  // The same staggered runs pushed through a one-partition ShuffleWriter:
+  // each run is one Append that overflows the budget and spills, then a
+  // tail stays in memory. The grouped reduce must see every key's values
+  // in run order — the stable sort of the append sequence.
+  using K = TypeParam;
+  using Rec = KV<K, uint32_t>;
+  constexpr K kMax = std::numeric_limits<K>::max();
+  constexpr size_t kShareRecords = 36;
+  for (size_t num_runs : {1u, 2u, 3u, 5u, 33u}) {
+    auto runs = StaggeredRuns<K>(num_runs, 200 + num_runs);
+    JobOptions opts;
+    opts.num_partitions = 1;
+    opts.spill_budget_bytes = kShareRecords * sizeof(Rec);
+    ShuffleWriter<K, uint32_t> shuffle(1, opts);
+    std::vector<Rec> all;
+    size_t spilled = 0;
+    for (auto& run : runs) {
+      // Runs are appended unsorted (reversed); the spill sorts them.
+      std::vector<Rec> chunk(run.rbegin(), run.rend());
+      all.insert(all.end(), chunk.begin(), chunk.end());
+      if (chunk.size() > kShareRecords) ++spilled;
+      ASSERT_TRUE(shuffle.Append(std::move(chunk)).ok());
+    }
+    // A tail below the share: it stays resident and merges last.
+    std::vector<Rec> tail = {{kMax, 90000}, {K{1}, 90001}, {K{0}, 90002}};
+    all.insert(all.end(), tail.begin(), tail.end());
+    ASSERT_TRUE(shuffle.Append(std::move(tail)).ok());
+    ASSERT_EQ(shuffle.spill_runs(), spilled);
+
+    std::vector<Rec> merged;
+    std::vector<uint32_t> values;
+    std::vector<K> keys;
+    auto collect = [&](K key, const std::vector<uint32_t>& vs) {
+      keys.push_back(key);
+      for (uint32_t v : vs) merged.push_back({key, v});
+    };
+    ASSERT_TRUE(shuffle.ReducePartition(0, &values, collect).ok());
+    const std::string what = "runs=" + std::to_string(num_runs);
+    ExpectSameRecords(merged, StableSortedByKey(all), what);
+    for (size_t i = 1; i < keys.size(); ++i) {
+      EXPECT_LT(keys[i - 1], keys[i]) << what << ": one group per key";
+    }
+    EXPECT_EQ(shuffle.spill_bytes_read(), shuffle.spill_bytes_written());
+  }
+}
+
+// ---- Reference model: the engine against a comparison-sort oracle. ----
+
+// The job under test: every input record maps to two keys (one of them
+// the largest key for some records), the combiner and the reducer both
+// fold their values order-sensitively, and the combiner emits a second
+// record for some keys — so any change in chunking, partitioning, sort
+// stability or merge order changes the output bytes.
+template <typename K>
+struct ReferenceJob {
+  static K KeyOf(uint32_t x, uint32_t salt) {
+    const uint64_t h = Mix64(uint64_t{x} * 4 + salt);
+    if (h % 97 == 0) return std::numeric_limits<K>::max();
+    if constexpr (sizeof(K) == 8) {
+      return (h % 300) << 40 | (h >> 20) % 5;
+    } else {
+      return static_cast<K>(h % 3000);
+    }
+  }
+  static uint32_t Fold(const std::vector<uint32_t>& vs) {
+    uint64_t h = 17;
+    for (uint32_t v : vs) h = h * 1000003 + v;
+    return static_cast<uint32_t>(h ^ (h >> 32));
+  }
+  static void Map(const uint32_t& id, const uint32_t& x,
+                  Emitter<K, uint32_t>& emit) {
+    emit.Emit(KeyOf(x, 0), id);
+    emit.Emit(KeyOf(x, 1), x);
+  }
+  static void Combine(const K& key, const std::vector<uint32_t>& vs,
+                      Emitter<K, uint32_t>& emit) {
+    emit.Emit(key, Fold(vs));
+    if (key % 7 == 0) emit.Emit(key, static_cast<uint32_t>(vs.size()));
+  }
+  static void Reduce(const K& key, const std::vector<uint32_t>& vs,
+                     Emitter<K, uint64_t>& emit) {
+    emit.Emit(key, (uint64_t{Fold(vs)} << 32) | vs.size());
+  }
+};
+
+// Groups a stable-sorted range with a plain loop (no engine code).
+template <typename K, typename V, typename Fn>
+void GroupSorted(const std::vector<KV<K, V>>& sorted, Fn fn) {
+  std::vector<V> values;
+  for (size_t i = 0; i < sorted.size();) {
+    size_t j = i;
+    values.clear();
+    for (; j < sorted.size() && sorted[j].key == sorted[i].key; ++j) {
+      values.push_back(sorted[j].value);
+    }
+    fn(sorted[i].key, values);
+    i = j;
+  }
+}
+
+// What the engine must produce: chunk the input, map, combine each chunk
+// by std::stable_sort + group, partition by Mix64(key) in chunk order,
+// then per partition std::stable_sort + group + reduce, partitions
+// concatenated in order.
+template <typename K>
+std::vector<KV<K, uint64_t>> ReferenceModel(
+    const std::vector<KV<uint32_t, uint32_t>>& input, const JobOptions& opts,
+    bool combine) {
+  using Job = ReferenceJob<K>;
+  auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
+  std::vector<std::vector<KV<K, uint32_t>>> partitions(opts.num_partitions);
+  for (size_t start = 0; start < input.size();
+       start += opts.map_chunk_records) {
+    const size_t end = std::min(input.size(), start + opts.map_chunk_records);
+    std::vector<KV<K, uint32_t>> mapped;
+    Emitter<K, uint32_t> map_emit(&mapped);
+    for (size_t i = start; i < end; ++i) {
+      Job::Map(input[i].key, input[i].value, map_emit);
+    }
+    if (combine) {
+      std::stable_sort(mapped.begin(), mapped.end(), by_key);
+      std::vector<KV<K, uint32_t>> combined;
+      Emitter<K, uint32_t> combine_emit(&combined);
+      GroupSorted(mapped, [&](K key, const std::vector<uint32_t>& vs) {
+        Job::Combine(key, vs, combine_emit);
+      });
+      mapped = std::move(combined);
+    }
+    for (const auto& kv : mapped) {
+      partitions[Mix64(kv.key) % opts.num_partitions].push_back(kv);
+    }
+  }
+  std::vector<KV<K, uint64_t>> out;
+  Emitter<K, uint64_t> reduce_emit(&out);
+  for (auto& part : partitions) {
+    std::stable_sort(part.begin(), part.end(), by_key);
+    GroupSorted(part, [&](K key, const std::vector<uint32_t>& vs) {
+      Job::Reduce(key, vs, reduce_emit);
+    });
+  }
+  return out;
+}
+
+template <typename K>
+void ExpectEngineMatchesReferenceModel() {
+  using Job = ReferenceJob<K>;
+  Rng rng(91);
+  std::vector<KV<uint32_t, uint32_t>> input(12000);
+  for (uint32_t i = 0; i < input.size(); ++i) {
+    input[i] = {i, static_cast<uint32_t>(rng.NextU64())};
+  }
+  JobOptions base;
+  base.map_chunk_records = 700;  // 18 chunks, the last one short
+  for (bool combine : {false, true}) {
+    const auto want = ReferenceModel<K>(input, base, combine);
+    for (size_t threads : {1u, 4u}) {
+      for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{4096}}) {
+        const std::string what = "combine=" + std::to_string(combine) +
+                                 " threads=" + std::to_string(threads) +
+                                 " budget=" + std::to_string(budget);
+        MapReduceEnv env({}, threads);
+        VectorRecordSource<uint32_t, uint32_t> source(input);
+        JobOptions opts = base;
+        opts.spill_budget_bytes = budget;
+        JobStats stats;
+        auto run = [&](auto combiner) {
+          return RunJobOnSource<K, uint32_t, K, uint64_t>(
+              env, source, opts, Job::Map, combiner, Job::Reduce, &stats);
+        };
+        auto got = combine ? run(Job::Combine) : run(NoCombiner);
+        ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
+        if (budget > 0) {
+          EXPECT_GT(stats.spill_runs, 0u) << what;
+        }
+        ExpectSameRecords(*got, want, what);
+      }
+    }
+  }
+}
+
+TEST(ShuffleReferenceModelTest, Uint32KeysMatchComparisonSortOracle) {
+  ExpectEngineMatchesReferenceModel<uint32_t>();
+}
+
+TEST(ShuffleReferenceModelTest, Uint64KeysMatchComparisonSortOracle) {
+  ExpectEngineMatchesReferenceModel<uint64_t>();
 }
 
 }  // namespace
