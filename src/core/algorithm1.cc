@@ -1,7 +1,5 @@
 #include "core/algorithm1.h"
 
-#include <vector>
-
 #include "core/pass_engine.h"
 #include "core/peel_runs.h"
 #include "stream/memory_stream.h"
@@ -10,42 +8,13 @@ namespace densest {
 
 StatusOr<UndirectedDensestResult> RunAlgorithm1(
     EdgeStream& stream, const Algorithm1Options& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
   const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-
+  if (Status s = Algorithm1Run::Validate(n, options); !s.ok()) return s;
   PassEngine& engine =
       options.engine != nullptr ? *options.engine : DefaultPassEngine();
-  Algorithm1Run run(n, options);
-  std::vector<double> degrees(n, 0.0);
-
-  while (!run.done()) {
-    UndirectedPassResult stats;
-    switch (run.mode()) {
-      case Algorithm1Run::PassMode::kBuffer:
-        // Pure in-memory pass (§6.3); dead edges are filtered out as we go
-        // so the buffer keeps shrinking with the graph.
-        stats = engine.RunUndirectedBuffer(run.buffer(), run.alive(), degrees,
-                                           /*compact=*/true, options.cancel);
-        break;
-      case Algorithm1Run::PassMode::kCollectPass:
-        stats = engine.RunUndirectedCollect(stream, run.alive(), degrees,
-                                            &run.buffer(), options.cancel);
-        break;
-      case Algorithm1Run::PassMode::kStream:
-        stats = engine.RunUndirected(stream, run.alive(), degrees,
-                                     options.cancel);
-        break;
-    }
-    // A failing stream — or a cancelled pass — ends early and silently:
-    // the stats above would describe a truncated edge set. Abort instead
-    // of peeling on them.
-    if (Status io = stream.status(); !io.ok()) return io;
-    if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
-    run.ApplyPass(stats, degrees);
-  }
+  Algorithm1Run run(n, options, engine.DirectPlanes(stream, 1));
+  FusedRun* runs[] = {&run};
+  if (Status s = engine.Drive(stream, runs, options.cancel); !s.ok()) return s;
   return run.TakeResult();
 }
 

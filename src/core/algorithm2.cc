@@ -1,7 +1,5 @@
 #include "core/algorithm2.h"
 
-#include <vector>
-
 #include "core/pass_engine.h"
 #include "core/peel_runs.h"
 #include "stream/memory_stream.h"
@@ -10,27 +8,13 @@ namespace densest {
 
 StatusOr<UndirectedDensestResult> RunAlgorithm2(
     EdgeStream& stream, const Algorithm2Options& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
   const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-  if (options.min_size > n) {
-    return Status::InvalidArgument("min_size exceeds the node count");
-  }
-
+  if (Status s = Algorithm2Run::Validate(n, options); !s.ok()) return s;
   PassEngine& engine =
       options.engine != nullptr ? *options.engine : DefaultPassEngine();
-  Algorithm2Run run(n, options);
-  std::vector<double> degrees(n, 0.0);
-
-  while (!run.done()) {
-    UndirectedPassResult stats =
-        engine.RunUndirected(stream, run.alive(), degrees, options.cancel);
-    if (Status io = stream.status(); !io.ok()) return io;
-    if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
-    run.ApplyPass(stats, degrees);
-  }
+  Algorithm2Run run(n, options, engine.DirectPlanes(stream, 1));
+  FusedRun* runs[] = {&run};
+  if (Status s = engine.Drive(stream, runs, options.cancel); !s.ok()) return s;
   return run.TakeResult();
 }
 

@@ -13,28 +13,13 @@ namespace densest {
 
 StatusOr<DirectedDensestResult> RunAlgorithm3(
     EdgeStream& stream, const Algorithm3Options& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
-  if (!(options.c > 0)) {
-    return Status::InvalidArgument("c must be > 0");
-  }
   const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-
+  if (Status s = Algorithm3Run::Validate(n, options); !s.ok()) return s;
   PassEngine& engine =
       options.engine != nullptr ? *options.engine : DefaultPassEngine();
-  Algorithm3Run run(n, options);
-  std::vector<double> out_to_t(n, 0.0);
-  std::vector<double> in_from_s(n, 0.0);
-
-  while (!run.done()) {
-    DirectedPassResult stats = engine.RunDirected(
-        stream, run.s(), run.t(), out_to_t, in_from_s, options.cancel);
-    if (Status io = stream.status(); !io.ok()) return io;
-    if (Status c = CheckCancel(options.cancel); !c.ok()) return c;
-    run.ApplyPass(stats, out_to_t, in_from_s);
-  }
+  Algorithm3Run run(n, options, engine.DirectPlanes(stream, 1));
+  FusedRun* runs[] = {&run};
+  if (Status s = engine.Drive(stream, runs, options.cancel); !s.ok()) return s;
   return run.TakeResult();
 }
 
@@ -78,15 +63,8 @@ StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
 
   const std::vector<Algorithm3Options> grid = CSearchGrid(n, options);
 
-  // The one configuration where fused accumulation is not bit-identical to
-  // a solo PassEngine run: a weighted stream with a CSR view (the engine's
-  // row kernel associates the FP sums differently). Fall back to run-by-run
-  // there so RunCSearch's results never depend on the `fused` flag.
-  const bool fuse = options.fused && (stream.HasUnitWeights() ||
-                                      stream.DirectedCsrView() == nullptr);
-
   CSearchResult out;
-  if (fuse) {
+  if (options.fused) {
     // All c values share every physical scan: one MultiRunEngine pass feeds
     // the whole grid, so the stream is scanned max-passes times instead of
     // sum-of-passes times (the paper's "can be tried in parallel" remark).

@@ -1,7 +1,7 @@
 #include "core/pass_engine.h"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
 #include <thread>
 
 #include "obs/metrics.h"
@@ -11,34 +11,83 @@ namespace densest {
 
 namespace {
 
-/// Contiguous row range of a CSR kernel shard.
-struct RowShard {
-  NodeId begin = 0;
-  NodeId end = 0;  // exclusive
-};
+/// Sentinel shard index: the task walks the whole round sequentially.
+constexpr uint32_t kWholeRound = std::numeric_limits<uint32_t>::max();
 
-/// Splits [0, n) into row ranges of roughly `entries_per_shard` adjacency
-/// entries each (rows are never split). Depends only on the graph shape,
-/// so shard boundaries are identical for every thread count.
+/// Splits rows [0, n) into shards of roughly 2 * kShardEdges adjacency
+/// entries each (rows are never split), stamped from `proto`. Depends only
+/// on the graph shape, so shard boundaries are identical for every thread
+/// count.
 template <typename DegreeFn>
-std::vector<RowShard> ShardRows(NodeId n, const DegreeFn& degree,
-                                size_t entries_per_shard) {
-  std::vector<RowShard> shards;
-  RowShard cur;
+std::vector<Shard> ShardRows(NodeId n, const DegreeFn& degree, Shard proto) {
+  std::vector<Shard> shards;
   size_t entries = 0;
   for (NodeId u = 0; u < n; ++u) {
     entries += degree(u);
-    if (entries >= entries_per_shard) {
-      cur.end = u + 1;
-      shards.push_back(cur);
-      cur.begin = u + 1;
+    if (entries >= 2 * kShardEdges) {
+      proto.end = u + 1;
+      shards.push_back(proto);
+      proto.begin = u + 1;
       entries = 0;
     }
   }
-  cur.end = n;
-  if (cur.end > cur.begin) shards.push_back(cur);
+  proto.end = n;
+  if (proto.end > proto.begin) shards.push_back(proto);
   return shards;
 }
+
+/// The row fill's shards for `runs` over `stream`: row ranges of the CSR
+/// graph the stream exposes for the runs' kind, or none when the stream
+/// has no such view (or the runs mix kinds), selecting the edge fill.
+std::vector<Shard> RowShards(const EdgeStream& stream,
+                             std::span<FusedRun* const> runs) {
+  if (runs.empty()) return {};
+  const bool directed = runs[0]->directed();
+  for (const FusedRun* run : runs) {
+    if (run->directed() != directed) return {};
+  }
+  if (directed) {
+    const DirectedGraph* g = stream.DirectedCsrView();
+    if (g == nullptr) return {};
+    return ShardRows(
+        g->num_nodes(), [g](NodeId u) { return g->OutDegree(u); },
+        Shard{.digraph = g});
+  }
+  const UndirectedGraph* g = stream.UndirectedCsrView();
+  if (g == nullptr) return {};
+  return ShardRows(
+      g->num_nodes(), [g](NodeId u) { return g->Degree(u); },
+      Shard{.graph = g});
+}
+
+/// RunUndirected's and RunDirected's one-pass run: `kernel` folds a shard
+/// into the engine's scratch planes and the run's slot totals.
+class OnePassRun final : public FusedRun {
+ public:
+  using Kernel = std::function<void(const Shard&, size_t, SlotTotals&)>;
+
+  OnePassRun(std::span<AccumPlane> planes, Kernel kernel)
+      : planes_(planes), kernel_(std::move(kernel)) {}
+
+  bool done() const override { return done_; }
+  bool directed() const override { return planes_.size() == 2; }
+  void BeginPass() override {
+    for (AccumPlane& plane : planes_) plane.BeginPass();
+    totals_.Reset();
+  }
+  void AccumulateShard(const Shard& shard, size_t slot) override {
+    kernel_(shard, slot, totals_);
+  }
+  bool parallel_shards() const override { return planes_[0].slotted(); }
+  void FinishPass() override { done_ = true; }
+  const SlotTotals& totals() const { return totals_; }
+
+ private:
+  std::span<AccumPlane> planes_;
+  Kernel kernel_;
+  SlotTotals totals_;
+  bool done_ = false;
+};
 
 }  // namespace
 
@@ -54,288 +103,180 @@ PassEngine::PassEngine(const PassEngineOptions& options) {
 
 PassEngine::~PassEngine() = default;
 
-void PassEngine::EnsureBatchBuffer() {
-  batch_.resize(kShardSlots * kShardEdges);
-}
-
-void PassEngine::EnsureAccumulators(size_t n, size_t planes) {
-  acc_.resize(planes * kShardSlots);
-  for (std::vector<double>& slot : acc_) {
-    // Slots are zero here by invariant: fresh allocations start zeroed and
-    // ReduceAndClear re-zeroes after every pass. A size change re-zeroes.
-    if (slot.size() != n) slot.assign(n, 0.0);
+void PassEngine::Dispatch(size_t count,
+                          const std::function<void(size_t)>& fn) {
+  if (pool_ != nullptr && count > 1) {
+    pool_->ParallelFor(count, fn);
+  } else {
+    for (size_t i = 0; i < count; ++i) fn(i);
   }
-  totals_.Reset();
 }
 
-size_t PassEngine::FillShards(
-    EdgeStream& stream, std::array<std::span<const Edge>, kShardSlots>& shards) {
-  return FillShardRound(
-      [&stream](Edge* scratch, size_t cap) {
-        return stream.NextView(scratch, cap);
-      },
-      batch_.data(), shards);
-}
-
-void PassEngine::DispatchRound(size_t shards,
-                               const std::function<void(size_t)>& fn) {
-  // The central fan-out seam: every sharded pass kernel funnels its rounds
-  // here, so round/shard tallies and the round span cover all of them.
+void PassEngine::Accumulate(std::span<FusedRun* const> runs, size_t count) {
   DENSEST_TRACE_SPAN("core.pass_round");
   DENSEST_METRIC_COUNTER("core.pass_rounds").Inc();
-  DENSEST_METRIC_COUNTER("core.pass_shards").Inc(shards);
-  if (pool_ != nullptr && shards > 1) {
-    pool_->ParallelFor(shards, fn);
-  } else {
-    for (size_t i = 0; i < shards; ++i) fn(i);
+  DENSEST_METRIC_COUNTER("core.pass_shards").Inc(count);
+  if (pool_ == nullptr || runs.size() >= num_threads_) {
+    // Run-major: each task owns one run's accumulators and walks the
+    // round's shards in order, so threads share nothing mutable.
+    Dispatch(runs.size(), [&](size_t i) {
+      for (size_t s = 0; s < count; ++s) {
+        runs[i]->AccumulateShard(shards_[s], s);
+      }
+    });
+    return;
   }
+  // Work-major: each (run, shard) pair is a task — shard s feeds slot s,
+  // so same-run tasks write disjoint slot planes. Runs whose round must
+  // stay sequential become one whole-round task.
+  tasks_.clear();
+  for (size_t i = 0; i < runs.size(); ++i) {
+    if (!runs[i]->parallel_shards()) {
+      tasks_.emplace_back(static_cast<uint32_t>(i), kWholeRound);
+      continue;
+    }
+    for (size_t s = 0; s < count; ++s) {
+      tasks_.emplace_back(static_cast<uint32_t>(i), static_cast<uint32_t>(s));
+    }
+  }
+  Dispatch(tasks_.size(), [&](size_t t) {
+    const auto [i, s] = tasks_[t];
+    if (s != kWholeRound) {
+      runs[i]->AccumulateShard(shards_[s], s);
+      return;
+    }
+    for (size_t k = 0; k < count; ++k) {
+      runs[i]->AccumulateShard(shards_[k], k);
+    }
+  });
+}
+
+template <typename FillFn>
+void PassEngine::ScanRounds(FillFn&& fill, std::span<FusedRun* const> runs,
+                            const CancelToken* cancel) {
+  for (;;) {
+    if (ShouldStop(cancel)) return;
+    const size_t count = fill(shards_);
+    if (count == 0) return;
+    DENSEST_TRACE_SPAN("core.fused_round");
+    Accumulate(runs, count);
+    if (count < kShardSlots) return;
+  }
+}
+
+Status PassEngine::Drive(EdgeStream& stream, std::span<FusedRun* const> runs,
+                         const CancelToken* cancel) {
+  last_physical_passes_ = last_logical_passes_ = last_edges_scanned_ = 0;
+  batch_.resize(kShardSlots * kShardEdges);
+  const std::vector<Shard> rows = RowShards(stream, runs);
+
+  std::vector<FusedRun*> active, scan;
+  for (;;) {
+    active.clear();
+    scan.clear();
+    for (FusedRun* run : runs) {
+      if (run->done()) continue;
+      active.push_back(run);
+      if (run->private_edges() == nullptr) scan.push_back(run);
+    }
+    if (active.empty()) break;
+    for (FusedRun* run : active) run->BeginPass();
+
+    if (!scan.empty()) {
+      // One physical scan, shared by every run that reads the stream.
+      DENSEST_METRIC_COUNTER("core.passes").Inc();
+      stream.Reset();
+      ++last_physical_passes_;
+      last_logical_passes_ += scan.size();
+      size_t next_row = 0;
+      ScanRounds(
+          [&](Shards& shards) {
+            size_t count = 0;
+            if (!rows.empty()) {
+              count = std::min(kShardSlots, rows.size() - next_row);
+              std::copy_n(rows.begin() + next_row, count, shards.begin());
+              next_row += count;
+              return count;
+            }
+            // Shard i of the round views scratch region i, so the round's
+            // views stay valid together.
+            for (; count < kShardSlots; ++count) {
+              const std::span<const Edge> view = stream.NextView(
+                  batch_.data() + count * kShardEdges, kShardEdges);
+              if (view.empty()) break;
+              last_edges_scanned_ += view.size();
+              shards[count] = Shard{.edges = view};
+            }
+            return count;
+          },
+          scan, cancel);
+      if (!rows.empty() && next_row == rows.size()) {
+        last_edges_scanned_ += stream.SizeHint();
+      }
+    }
+    for (FusedRun* run : active) {
+      std::vector<Edge>* edges = run->private_edges();
+      if (edges == nullptr) continue;
+      // An in-memory pass over the run's own edges, off the shared scan,
+      // in kShardEdges slices (the edge fill's schedule).
+      DENSEST_METRIC_COUNTER("core.passes").Inc();
+      size_t next = 0;
+      ScanRounds(
+          [&](Shards& shards) {
+            size_t count = 0;
+            for (; count < kShardSlots && next < edges->size(); ++count) {
+              const size_t take = std::min(kShardEdges, edges->size() - next);
+              shards[count] = Shard{.edges = {edges->data() + next, take}};
+              next += take;
+            }
+            return count;
+          },
+          std::span<FusedRun* const>(&run, 1), cancel);
+    }
+
+    // A failing stream or a cancelled pass ends early and silently: the
+    // accumulated statistics describe a truncated edge set. Abort before
+    // peeling on them. The pool is already drained (Dispatch returns only
+    // after every task finished), so no thread runs against freed state.
+    if (Status io = stream.status(); !io.ok()) return io;
+    if (Status c = CheckCancel(cancel); !c.ok()) return c;
+    // Reduce + peel, run-major: only run-private state mutates.
+    Dispatch(active.size(), [&](size_t i) { active[i]->FinishPass(); });
+  }
+  return Status::OK();
+}
+
+AccumPlane& PassEngine::PassPlane(size_t i, std::vector<double>& out,
+                                  bool direct) {
+  AccumPlane& plane = pass_planes_[i];
+  plane.values.swap(out);  // handed back, reduced, by SwapBack
+  const size_t n = plane.values.size();
+  if (direct || plane.slots.empty() || plane.slots[0].size() != n) {
+    plane.Init(n, direct);
+  }
+  return plane;
+}
+
+void PassEngine::SwapBack(size_t i, std::vector<double>& out) {
+  // Reducing an abandoned pass too keeps the slots zero for the next call.
+  pass_planes_[i].Reduce();
+  pass_planes_[i].values.swap(out);
 }
 
 UndirectedPassResult PassEngine::RunUndirected(EdgeStream& stream,
                                                const NodeSet& alive,
                                                std::vector<double>& degrees,
                                                const CancelToken* cancel) {
-  return RunUndirectedImpl(stream, alive, degrees, nullptr, cancel);
-}
-
-UndirectedPassResult PassEngine::RunUndirectedCollect(
-    EdgeStream& stream, const NodeSet& alive, std::vector<double>& degrees,
-    std::vector<Edge>* survivors, const CancelToken* cancel) {
-  return RunUndirectedImpl(stream, alive, degrees, survivors, cancel);
-}
-
-UndirectedPassResult PassEngine::RunUndirectedImpl(
-    EdgeStream& stream, const NodeSet& alive, std::vector<double>& degrees,
-    std::vector<Edge>* survivors, const CancelToken* cancel) {
-  DENSEST_TRACE_SPAN("core.pass_undirected");
-  DENSEST_METRIC_COUNTER("core.passes").Inc();
-  if (survivors == nullptr) {
-    if (const UndirectedGraph* g = stream.UndirectedCsrView()) {
-      stream.Reset();  // keeps pass accounting uniform with the batch path
-      return RunUndirectedCsr(*g, alive, degrees, cancel);
-    }
-  }
-  if (UseDirectPath(stream)) {
-    // Unit weights, sequential: accumulate straight into `degrees`, a whole
-    // view at a time. Exact integer-valued sums make this bit-identical to
-    // any slotted schedule.
-    std::fill(degrees.begin(), degrees.end(), 0.0);
-    UndirectedPassResult out;
-    ForEachView(stream, cancel, [&](std::span<const Edge> view) {
-      const UndirectedPassResult r = AccumulateUndirectedShard(
-          view, alive, degrees.data(), AppendSurvivors{survivors});
-      out.weight += r.weight;
-      out.edges += r.edges;
-    });
-    return out;
-  }
-
-  EnsureBatchBuffer();
-  stream.Reset();
-  EnsureAccumulators(degrees.size(), /*planes=*/1);
-  std::array<std::span<const Edge>, kShardSlots> shards;
-  for (;;) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = FillShards(stream, shards);
-    if (count == 0) break;
-    DispatchRound(count, [&](size_t s) {
-      std::vector<Edge>* out =
-          survivors != nullptr ? &slot_survivors_[s] : nullptr;
-      if (out != nullptr) out->clear();
-      const UndirectedPassResult r = AccumulateUndirectedShard(
-          shards[s], alive, acc_[s].data(), AppendSurvivors{out});
-      totals_.Add(s, r.weight, r.edges);
-    });
-    if (survivors != nullptr) {
-      // Slot order == stream order: survivors stay in stream order.
-      for (size_t s = 0; s < count; ++s) {
-        survivors->insert(survivors->end(), slot_survivors_[s].begin(),
-                          slot_survivors_[s].end());
-      }
-    }
-    if (count < kShardSlots) break;
-  }
-
-  const UndirectedPassResult out = totals_.Undirected();
-  ReduceAndClear(/*plane=*/0, degrees);
-  return out;
-}
-
-UndirectedPassResult PassEngine::RunUndirectedCsr(
-    const UndirectedGraph& g, const NodeSet& alive,
-    std::vector<double>& degrees, const CancelToken* cancel) {
-  const NodeId n = g.num_nodes();
-  const bool weighted = g.is_weighted();
-  // The sequential kernels below have no round structure, so they poll the
-  // token every ~kShardEdges adjacency entries — the same bounded unit of
-  // work as one shard. poll_countdown counts entries down to the next poll.
-  size_t poll_countdown = kShardEdges;
-  // Every undirected edge {u, v} occupies the adjacency slot (u, v) AND
-  // (v, u) — a self-loop only (u, u). Walking ALL slots therefore adds each
-  // edge's weight to both endpoint degrees with purely sequential reads;
-  // edge/weight totals are halved at the end (self-loops counted twice via
-  // `self` so the halving stays exact).
-  if (pool_ == nullptr && !weighted) {
-    std::fill(degrees.begin(), degrees.end(), 0.0);
-    double twice_weight = 0.0;
-    double self_weight = 0.0;
-    if (!g.has_self_loops()) {
-      // Two-way unroll with independent row accumulators: breaks the
-      // serial FP-add dependency chain. Reassociation is safe — unit
-      // weights sum exactly, so every order gives the same bits.
-      for (NodeId u = 0; u < n; ++u) {
-        if (!alive.Contains(u)) continue;  // whole dead rows cost nothing
-        auto nbrs = g.Neighbors(u);
-        if (nbrs.size() >= poll_countdown) {
-          if (ShouldStop(cancel)) break;
-          poll_countdown = kShardEdges;
-        } else {
-          poll_countdown -= nbrs.size();
-        }
-        double row0 = 0.0, row1 = 0.0;
-        size_t i = 0;
-        for (; i + 2 <= nbrs.size(); i += 2) {
-          const NodeId v0 = nbrs[i];
-          const NodeId v1 = nbrs[i + 1];
-          const double k0 = alive.Contains(v0) ? 1.0 : 0.0;
-          const double k1 = alive.Contains(v1) ? 1.0 : 0.0;
-          degrees[v0] += k0;
-          degrees[v1] += k1;
-          row0 += k0;
-          row1 += k1;
-        }
-        if (i < nbrs.size()) {
-          const NodeId v = nbrs[i];
-          const double k = alive.Contains(v) ? 1.0 : 0.0;
-          degrees[v] += k;
-          row0 += k;
-        }
-        twice_weight += row0 + row1;
-      }
-    } else {
-      for (NodeId u = 0; u < n; ++u) {
-        if (!alive.Contains(u)) continue;
-        auto nbrs = g.Neighbors(u);
-        if (nbrs.size() >= poll_countdown) {
-          if (ShouldStop(cancel)) break;
-          poll_countdown = kShardEdges;
-        } else {
-          poll_countdown -= nbrs.size();
-        }
-        double row = 0.0;
-        for (NodeId v : nbrs) {
-          const double keep = alive.Contains(v) ? 1.0 : 0.0;
-          degrees[v] += keep;
-          row += keep;
-          if (v == u) {  // self-loop: single slot, degree counts it twice
-            degrees[u] += keep;
-            self_weight += keep;
-          }
-        }
-        twice_weight += row;
-      }
-    }
-    UndirectedPassResult out;
-    out.weight = (twice_weight + self_weight) / 2.0;
-    out.edges = static_cast<EdgeId>(twice_weight + self_weight) / 2;
-    return out;
-  }
-
-  EnsureAccumulators(n, /*planes=*/1);
-  const std::vector<RowShard> shards = ShardRows(
-      n, [&g](NodeId u) { return g.Degree(u); }, 2 * kShardEdges);
-  SlotTotals<kShardSlots> self_totals;  // self-loops, counted once
-  for (size_t base = 0; base < shards.size(); base += kShardSlots) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = std::min(kShardSlots, shards.size() - base);
-    DispatchRound(count, [&](size_t s) {
-      const RowShard shard = shards[base + s];
-      std::vector<double>& acc = acc_[s];
-      double twice_weight = 0.0;
-      double self_weight = 0.0;
-      EdgeId twice_edges = 0;
-      EdgeId self_edges = 0;
-      for (NodeId u = shard.begin; u < shard.end; ++u) {
-        if (!alive.Contains(u)) continue;
-        auto nbrs = g.Neighbors(u);
-        auto ws = g.NeighborWeights(u);
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if (!alive.Contains(v)) continue;
-          const double w = weighted ? ws[i] : 1.0;
-          acc[v] += w;
-          twice_weight += w;
-          ++twice_edges;
-          if (v == u) {
-            acc[u] += w;
-            self_weight += w;
-            ++self_edges;
-          }
-        }
-      }
-      totals_.Add(s, twice_weight, twice_edges);
-      self_totals.Add(s, self_weight, self_edges);
-    });
-  }
-  UndirectedPassResult out;
-  out.weight = (totals_.TotalWeight() + self_totals.TotalWeight()) / 2.0;
-  out.edges = (totals_.TotalCount() + self_totals.TotalCount()) / 2;
-  ReduceAndClear(/*plane=*/0, degrees);
-  return out;
-}
-
-UndirectedPassResult PassEngine::RunUndirectedBuffer(
-    std::vector<Edge>& edges, const NodeSet& alive,
-    std::vector<double>& degrees, bool compact, const CancelToken* cancel) {
-  DENSEST_TRACE_SPAN("core.pass_undirected");
-  DENSEST_METRIC_COUNTER("core.passes").Inc();
-  EnsureAccumulators(degrees.size(), /*planes=*/1);
-  const size_t total = edges.size();
-  const size_t round_cap = kShardSlots * kShardEdges;
-  size_t write = 0;
-  std::array<size_t, kShardSlots> kept{};
-  for (size_t start = 0; start < total; start += round_cap) {
-    if (ShouldStop(cancel)) {
-      // A compacting pass abandoned mid-buffer must not drop the rounds it
-      // never scanned: keep the unscanned tail verbatim so the buffer stays
-      // a superset of the surviving edges (the caller discards the pass).
-      if (compact && write < start) {
-        std::memmove(edges.data() + write, edges.data() + start,
-                     (total - start) * sizeof(Edge));
-      }
-      if (compact) write += total - start;
-      break;
-    }
-    const size_t round_edges = std::min(round_cap, total - start);
-    const size_t shards = (round_edges + kShardEdges - 1) / kShardEdges;
-    DispatchRound(shards, [&](size_t s) {
-      Edge* base = edges.data() + start + s * kShardEdges;
-      const size_t count = std::min(kShardEdges, round_edges - s * kShardEdges);
-      size_t out_i = 0;
-      const UndirectedPassResult r = AccumulateUndirectedShard(
-          {base, count}, alive, acc_[s].data(), [&](const Edge& e) {
-            if (compact) base[out_i++] = e;  // out_i never passes e
-          });
-      kept[s] = compact ? out_i : count;
-      totals_.Add(s, r.weight, r.edges);
-    });
-    if (compact) {
-      // Stitch the per-shard survivor runs back together in shard order;
-      // the relative edge order is exactly the original stream order.
-      for (size_t s = 0; s < shards; ++s) {
-        Edge* base = edges.data() + start + s * kShardEdges;
-        if (kept[s] > 0 && edges.data() + write != base) {
-          std::memmove(edges.data() + write, base, kept[s] * sizeof(Edge));
-        }
-        write += kept[s];
-      }
-    }
-  }
-  if (compact) edges.resize(write);
-
-  const UndirectedPassResult out = totals_.Undirected();
-  ReduceAndClear(/*plane=*/0, degrees);
-  return out;
+  AccumPlane& deg = PassPlane(0, degrees, DirectPlanes(stream, 1));
+  OnePassRun run({&deg, 1},
+                 [&](const Shard& shard, size_t slot, SlotTotals& totals) {
+                   AccumulateUndirected(shard, alive, deg.Slot(slot), totals,
+                                        slot);
+                 });
+  FusedRun* runs[] = {&run};
+  const bool ok = Drive(stream, runs, cancel).ok();
+  SwapBack(0, degrees);
+  return ok ? run.totals().Undirected() : UndirectedPassResult{};
 }
 
 DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
@@ -344,120 +285,19 @@ DirectedPassResult PassEngine::RunDirected(EdgeStream& stream,
                                            std::vector<double>& out_to_t,
                                            std::vector<double>& in_from_s,
                                            const CancelToken* cancel) {
-  DENSEST_TRACE_SPAN("core.pass_directed");
-  DENSEST_METRIC_COUNTER("core.passes").Inc();
-  if (const DirectedGraph* g = stream.DirectedCsrView()) {
-    stream.Reset();
-    return RunDirectedCsr(*g, s_set, t_set, out_to_t, in_from_s, cancel);
-  }
-  if (UseDirectPath(stream)) {
-    std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
-    std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
-    DirectedPassResult out;
-    ForEachView(stream, cancel, [&](std::span<const Edge> view) {
-      const DirectedPassResult r = AccumulateDirectedShard(
-          view, s_set, t_set, out_to_t.data(), in_from_s.data());
-      out.weight += r.weight;
-      out.arcs += r.arcs;
-    });
-    return out;
-  }
-
-  EnsureBatchBuffer();
-  stream.Reset();
-  EnsureAccumulators(out_to_t.size(), /*planes=*/2);
-  std::array<std::span<const Edge>, kShardSlots> shards;
-  for (;;) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = FillShards(stream, shards);
-    if (count == 0) break;
-    DispatchRound(count, [&](size_t s) {
-      const DirectedPassResult r =
-          AccumulateDirectedShard(shards[s], s_set, t_set, acc_[s].data(),
-                                  acc_[kShardSlots + s].data());
-      totals_.Add(s, r.weight, r.arcs);
-    });
-    if (count < kShardSlots) break;
-  }
-
-  const DirectedPassResult out = totals_.Directed();
-  ReduceAndClear(/*plane=*/0, out_to_t);
-  ReduceAndClear(/*plane=*/1, in_from_s);
-  return out;
-}
-
-DirectedPassResult PassEngine::RunDirectedCsr(const DirectedGraph& g,
-                                              const NodeSet& s_set,
-                                              const NodeSet& t_set,
-                                              std::vector<double>& out_to_t,
-                                              std::vector<double>& in_from_s,
-                                              const CancelToken* cancel) {
-  const NodeId n = g.num_nodes();
-  const bool weighted = g.is_weighted();
-  size_t poll_countdown = kShardEdges;  // see RunUndirectedCsr
-  // Arcs occupy exactly one adjacency slot, so no halving is needed; the
-  // out-degree of a row accumulates in a register and stores once.
-  if (pool_ == nullptr && !weighted) {
-    std::fill(out_to_t.begin(), out_to_t.end(), 0.0);
-    std::fill(in_from_s.begin(), in_from_s.end(), 0.0);
-    DirectedPassResult out;
-    for (NodeId u = 0; u < n; ++u) {
-      if (!s_set.Contains(u)) continue;
-      auto nbrs = g.OutNeighbors(u);
-      if (nbrs.size() >= poll_countdown) {
-        if (ShouldStop(cancel)) break;
-        poll_countdown = kShardEdges;
-      } else {
-        poll_countdown -= nbrs.size();
-      }
-      double row = 0.0;
-      for (NodeId v : nbrs) {
-        const double keep = t_set.Contains(v) ? 1.0 : 0.0;
-        in_from_s[v] += keep;
-        row += keep;
-      }
-      out_to_t[u] = row;
-      out.weight += row;
-    }
-    out.arcs = static_cast<EdgeId>(out.weight);
-    return out;
-  }
-
-  EnsureAccumulators(n, /*planes=*/2);
-  const std::vector<RowShard> shards = ShardRows(
-      n, [&g](NodeId u) { return g.OutDegree(u); }, 2 * kShardEdges);
-  for (size_t base = 0; base < shards.size(); base += kShardSlots) {
-    if (ShouldStop(cancel)) break;
-    const size_t count = std::min(kShardSlots, shards.size() - base);
-    DispatchRound(count, [&](size_t s) {
-      const RowShard shard = shards[base + s];
-      std::vector<double>& out_acc = acc_[s];
-      std::vector<double>& in_acc = acc_[kShardSlots + s];
-      double weight = 0.0;
-      EdgeId arcs = 0;
-      for (NodeId u = shard.begin; u < shard.end; ++u) {
-        if (!s_set.Contains(u)) continue;
-        auto nbrs = g.OutNeighbors(u);
-        auto ws = g.OutNeighborWeights(u);
-        double row = 0.0;
-        for (size_t i = 0; i < nbrs.size(); ++i) {
-          const NodeId v = nbrs[i];
-          if (!t_set.Contains(v)) continue;
-          const double w = weighted ? ws[i] : 1.0;
-          in_acc[v] += w;
-          row += w;
-          ++arcs;
-        }
-        out_acc[u] += row;
-        weight += row;
-      }
-      totals_.Add(s, weight, arcs);
-    });
-  }
-  const DirectedPassResult out = totals_.Directed();
-  ReduceAndClear(/*plane=*/0, out_to_t);
-  ReduceAndClear(/*plane=*/1, in_from_s);
-  return out;
+  const bool direct = DirectPlanes(stream, 1);
+  AccumPlane& out = PassPlane(0, out_to_t, direct);
+  AccumPlane& in = PassPlane(1, in_from_s, direct);
+  OnePassRun run(pass_planes_,
+                 [&](const Shard& shard, size_t slot, SlotTotals& totals) {
+                   AccumulateDirected(shard, s_set, t_set, out.Slot(slot),
+                                      in.Slot(slot), totals, slot);
+                 });
+  FusedRun* runs[] = {&run};
+  const bool ok = Drive(stream, runs, cancel).ok();
+  SwapBack(0, out_to_t);
+  SwapBack(1, in_from_s);
+  return ok ? run.totals().Directed() : DirectedPassResult{};
 }
 
 PassEngine& DefaultPassEngine() {

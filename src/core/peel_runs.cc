@@ -32,19 +32,64 @@ bool PeelSByMaxDegreeRule(const NodeSet& s, const NodeSet& t,
   return max_in_in_b / max_out_in_a >= c;
 }
 
+Status ValidateCommon(NodeId n, double epsilon) {
+  if (epsilon < 0) return Status::InvalidArgument("epsilon must be >= 0");
+  if (n == 0) return Status::InvalidArgument("graph has no nodes");
+  return Status::OK();
+}
+
 }  // namespace
 
 // ------------------------------------------------------------- Algorithm 1
 
-Algorithm1Run::Algorithm1Run(NodeId n, const Algorithm1Options& options)
-    : options_(options), n_(n), alive_(n, /*full=*/true), best_(alive_) {
-  done_ = alive_.empty();
+Status Algorithm1Run::Validate(NodeId n, const Algorithm1Options& options) {
+  return ValidateCommon(n, options.epsilon);
 }
 
-void Algorithm1Run::ApplyPass(const UndirectedPassResult& stats,
-                              const std::vector<double>& degrees) {
+Algorithm1Run::Algorithm1Run(NodeId n, const Algorithm1Options& options,
+                             bool direct)
+    : options_(options), n_(n), alive_(n, /*full=*/true), best_(alive_) {
+  done_ = alive_.empty();
+  deg_.Init(n, direct);
+}
+
+void Algorithm1Run::BeginPass() {
+  deg_.BeginPass();
+  totals_.Reset();
+}
+
+void Algorithm1Run::AccumulateShard(const Shard& shard, size_t slot) {
+  double* deg = deg_.Slot(slot);
+  if (mode_ != PassMode::kCollectPass) {
+    AccumulateUndirected(shard, alive_, deg, totals_, slot);
+    return;
+  }
+  double weight = 0.0;
+  EdgeId edges = 0;
+  VisitSurvivors(shard, alive_, [&](const Edge& e) {
+    deg[e.u] += e.w;
+    deg[e.v] += e.w;
+    weight += e.w;
+    ++edges;
+    buffer_.push_back(e);
+  });
+  totals_.Add(slot, weight, edges);
+}
+
+void Algorithm1Run::FinishPass() {
+  deg_.Reduce();
+  const std::vector<double>& degrees = deg_.values;
+  const UndirectedPassResult stats = totals_.Undirected();
   ++pass_;
-  if (mode_ != PassMode::kBuffer) ++io_passes_;
+  if (mode_ == PassMode::kBuffer) {
+    // Pure in-memory pass (§6.3): drop the edges this pass found dead, so
+    // the buffer keeps shrinking with the graph (order is kept).
+    std::erase_if(buffer_, [&](const Edge& e) {
+      return !alive_.ContainsBoth(e.u, e.v);
+    });
+  } else {
+    ++io_passes_;
+  }
   if (mode_ == PassMode::kCollectPass) mode_ = PassMode::kBuffer;
 
   const double rho = stats.weight / static_cast<double>(alive_.size());
@@ -103,13 +148,34 @@ UndirectedDensestResult Algorithm1Run::TakeResult() {
 
 // ------------------------------------------------------------- Algorithm 2
 
-Algorithm2Run::Algorithm2Run(NodeId n, const Algorithm2Options& options)
-    : options_(options), n_(n), alive_(n, /*full=*/true), best_(alive_) {
-  done_ = alive_.empty() || alive_.size() < options_.min_size;
+Status Algorithm2Run::Validate(NodeId n, const Algorithm2Options& options) {
+  if (Status s = ValidateCommon(n, options.epsilon); !s.ok()) return s;
+  if (options.min_size > n) {
+    return Status::InvalidArgument("min_size exceeds the node count");
+  }
+  return Status::OK();
 }
 
-void Algorithm2Run::ApplyPass(const UndirectedPassResult& stats,
-                              const std::vector<double>& degrees) {
+Algorithm2Run::Algorithm2Run(NodeId n, const Algorithm2Options& options,
+                             bool direct)
+    : options_(options), n_(n), alive_(n, /*full=*/true), best_(alive_) {
+  done_ = alive_.empty() || alive_.size() < options_.min_size;
+  deg_.Init(n, direct);
+}
+
+void Algorithm2Run::BeginPass() {
+  deg_.BeginPass();
+  totals_.Reset();
+}
+
+void Algorithm2Run::AccumulateShard(const Shard& shard, size_t slot) {
+  AccumulateUndirected(shard, alive_, deg_.Slot(slot), totals_, slot);
+}
+
+void Algorithm2Run::FinishPass() {
+  deg_.Reduce();
+  const std::vector<double>& degrees = deg_.values;
+  const UndirectedPassResult stats = totals_.Undirected();
   ++pass_;
   const double rho = stats.weight / static_cast<double>(alive_.size());
 
@@ -176,7 +242,17 @@ UndirectedDensestResult Algorithm2Run::TakeResult() {
 
 // ------------------------------------------------------------- Algorithm 3
 
-Algorithm3Run::Algorithm3Run(NodeId n, const Algorithm3Options& options)
+Status Algorithm3Run::Validate(NodeId n, const Algorithm3Options& options) {
+  if (options.epsilon < 0) {
+    return Status::InvalidArgument("epsilon must be >= 0");
+  }
+  if (!(options.c > 0)) return Status::InvalidArgument("c must be > 0");
+  if (n == 0) return Status::InvalidArgument("graph has no nodes");
+  return Status::OK();
+}
+
+Algorithm3Run::Algorithm3Run(NodeId n, const Algorithm3Options& options,
+                             bool direct)
     : options_(options),
       n_(n),
       s_(n, /*full=*/true),
@@ -185,11 +261,27 @@ Algorithm3Run::Algorithm3Run(NodeId n, const Algorithm3Options& options)
       best_t_(t_) {
   result_.c = options.c;
   done_ = s_.empty() || t_.empty();
+  out_.Init(n, direct);
+  in_.Init(n, direct);
 }
 
-void Algorithm3Run::ApplyPass(const DirectedPassResult& stats,
-                              const std::vector<double>& out_to_t,
-                              const std::vector<double>& in_from_s) {
+void Algorithm3Run::BeginPass() {
+  out_.BeginPass();
+  in_.BeginPass();
+  totals_.Reset();
+}
+
+void Algorithm3Run::AccumulateShard(const Shard& shard, size_t slot) {
+  AccumulateDirected(shard, s_, t_, out_.Slot(slot), in_.Slot(slot), totals_,
+                     slot);
+}
+
+void Algorithm3Run::FinishPass() {
+  out_.Reduce();
+  in_.Reduce();
+  const std::vector<double>& out_to_t = out_.values;
+  const std::vector<double>& in_from_s = in_.values;
+  const DirectedPassResult stats = totals_.Directed();
   ++pass_;
   const double rho =
       stats.weight / std::sqrt(static_cast<double>(s_.size()) *

@@ -1,23 +1,24 @@
 // Copyright 2026 The densest Authors.
-// Per-run state machines of the streaming peeling algorithms.
+// The runs of the streaming peeling algorithms, one class each for
+// Algorithms 1, 2 and 3.
 //
-// Each class below holds the between-pass state of ONE run of Algorithm 1,
-// 2 or 3 — alive sets, best-so-far subgraph, trace — and consumes the
-// aggregated statistics of one completed pass at a time through ApplyPass.
-// The state machine never touches a stream: WHO scans the edges (a private
-// PassEngine for a single run, or the MultiRunEngine fanning one physical
-// scan across many runs) is the driver's choice, and both drivers share
-// exactly this peeling logic, so a fused run can never diverge from a
-// sequential one by reimplementation drift.
+// Each class holds ONE run — alive sets, degree accumulators,
+// best-so-far subgraph, trace — and is a FusedRun that PassEngine::Drive
+// takes pass by pass: a shard at a time into its accumulators, then the
+// peel step in FinishPass. RunAlgorithm{1,2,3} drive one run; the sweeps of
+// core/multi_run.h drive many over shared scans. Both go through the same
+// class, so a fused run can never diverge from a solo one.
 
 #ifndef DENSEST_CORE_PEEL_RUNS_H_
 #define DENSEST_CORE_PEEL_RUNS_H_
 
 #include <vector>
 
+#include "common/status.h"
 #include "core/algorithm1.h"
 #include "core/algorithm2.h"
 #include "core/algorithm3.h"
+#include "core/alive_kernel.h"
 #include "core/density.h"
 #include "core/pass_engine.h"
 #include "graph/subgraph.h"
@@ -26,33 +27,41 @@
 namespace densest {
 
 /// \brief One run of Algorithm 1 (undirected peeling, optional §6.3
-/// compaction), driven pass by pass.
+/// compaction).
 ///
-/// Protocol per pass: the driver checks done(); if false it executes one
-/// pass over the source named by mode() — the external stream (optionally
-/// collecting survivors into buffer() when mode() == kCollectPass) or the
-/// in-memory buffer() — and hands the resulting statistics to ApplyPass.
-class Algorithm1Run {
+/// `direct` picks one degree plane instead of kShardSlots slot planes (see
+/// PassEngine::DirectPlanes).
+class Algorithm1Run final : public FusedRun {
  public:
-  /// Where the next pass must read its edges from.
+  /// Where the next pass reads its edges from.
   enum class PassMode {
     kStream,       ///< scan the external stream
-    kCollectPass,  ///< scan the stream AND collect survivors into buffer()
-    kBuffer,       ///< scan buffer() (compaction has kicked in)
+    kCollectPass,  ///< scan the stream AND collect survivors in memory
+    kBuffer,       ///< scan the collected survivors (compaction kicked in)
   };
 
-  Algorithm1Run(NodeId n, const Algorithm1Options& options);
+  /// The options checks RunAlgorithm1 and the sweeps share.
+  static Status Validate(NodeId n, const Algorithm1Options& options);
 
-  bool done() const { return done_; }
+  Algorithm1Run(NodeId n, const Algorithm1Options& options, bool direct);
+
   PassMode mode() const { return mode_; }
-  const NodeSet& alive() const { return alive_; }
-  std::vector<Edge>& buffer() { return buffer_; }
 
-  /// Consumes one pass worth of statistics: updates the best subgraph,
-  /// peels below-threshold nodes, arms compaction, records the trace, and
-  /// decides whether the run is finished.
-  void ApplyPass(const UndirectedPassResult& stats,
-                 const std::vector<double>& degrees);
+  bool done() const override { return done_; }
+  std::vector<Edge>* private_edges() override {
+    return mode_ == PassMode::kBuffer ? &buffer_ : nullptr;
+  }
+  void BeginPass() override;
+  void AccumulateShard(const Shard& shard, size_t slot) override;
+  /// The collect pass appends survivors in stream order, which a
+  /// shard-split round would not preserve.
+  bool parallel_shards() const override {
+    return deg_.slotted() && mode_ != PassMode::kCollectPass;
+  }
+  /// Reduces the degrees, drops dead edges from the buffer, updates the
+  /// best subgraph, peels below-threshold nodes, arms compaction, records
+  /// the trace, and decides whether the run is finished.
+  void FinishPass() override;
 
   /// Finalizes the result (call once, after done()).
   UndirectedDensestResult TakeResult();
@@ -68,19 +77,23 @@ class Algorithm1Run {
   PassMode mode_ = PassMode::kStream;
   bool done_ = false;
   std::vector<Edge> buffer_;
+  AccumPlane deg_;
+  SlotTotals totals_;
   UndirectedDensestResult result_;
 };
 
 /// \brief One run of Algorithm 2 (at-least-k peeling with a removal quota).
-class Algorithm2Run {
+class Algorithm2Run final : public FusedRun {
  public:
-  Algorithm2Run(NodeId n, const Algorithm2Options& options);
+  static Status Validate(NodeId n, const Algorithm2Options& options);
 
-  bool done() const { return done_; }
-  const NodeSet& alive() const { return alive_; }
+  Algorithm2Run(NodeId n, const Algorithm2Options& options, bool direct);
 
-  void ApplyPass(const UndirectedPassResult& stats,
-                 const std::vector<double>& degrees);
+  bool done() const override { return done_; }
+  void BeginPass() override;
+  void AccumulateShard(const Shard& shard, size_t slot) override;
+  bool parallel_shards() const override { return deg_.slotted(); }
+  void FinishPass() override;
 
   UndirectedDensestResult TakeResult();
 
@@ -93,23 +106,24 @@ class Algorithm2Run {
   uint64_t pass_ = 0;
   bool done_ = false;
   std::vector<NodeId> candidates_;
+  AccumPlane deg_;
+  SlotTotals totals_;
   UndirectedDensestResult result_;
 };
 
 /// \brief One run of Algorithm 3 (directed (S, T) peeling for one ratio c).
-class Algorithm3Run {
+class Algorithm3Run final : public FusedRun {
  public:
-  Algorithm3Run(NodeId n, const Algorithm3Options& options);
+  static Status Validate(NodeId n, const Algorithm3Options& options);
 
-  bool done() const { return done_; }
-  const NodeSet& s() const { return s_; }
-  const NodeSet& t() const { return t_; }
+  Algorithm3Run(NodeId n, const Algorithm3Options& options, bool direct);
 
-  /// Consumes one directed pass: weight |E(S,T)| plus the two degree
-  /// arrays the pass accumulated over the CURRENT s()/t().
-  void ApplyPass(const DirectedPassResult& stats,
-                 const std::vector<double>& out_to_t,
-                 const std::vector<double>& in_from_s);
+  bool done() const override { return done_; }
+  bool directed() const override { return true; }
+  void BeginPass() override;
+  void AccumulateShard(const Shard& shard, size_t slot) override;
+  bool parallel_shards() const override { return out_.slotted(); }
+  void FinishPass() override;
 
   DirectedDensestResult TakeResult();
 
@@ -123,6 +137,9 @@ class Algorithm3Run {
   double best_density_ = -1.0;
   uint64_t pass_ = 0;
   bool done_ = false;
+  AccumPlane out_;  // out_to_t over S
+  AccumPlane in_;   // in_from_s over T
+  SlotTotals totals_;
   DirectedDensestResult result_;
 };
 

@@ -25,13 +25,11 @@ namespace densest::obs {
 /// Counter metrics: monotone event tallies (sharded relaxed atomics).
 /// Sorted; MetricsRegistry binary-searches this array.
 inline constexpr std::string_view kCounterNames[] = {
-    // Chunk rounds the fused sweep engine pulled through its shared scan.
-    "core.fused_rounds",
-    // Shard-round dispatches by PassEngine (one per <= slots*16k edges).
+    // Shard rounds PassEngine::Drive dispatched (one per <= 8 shards).
     "core.pass_rounds",
-    // Shard tasks executed inside those rounds (fan-out width signal).
+    // Shards filled into those rounds (each taken by every active run).
     "core.pass_shards",
-    // Full streaming passes started (undirected, directed, and buffer).
+    // Passes Drive started: shared stream scans and in-memory buffer passes.
     "core.passes",
     // Deletions applied by DynamicDensest.
     "dynamic.deletes",
@@ -115,14 +113,10 @@ inline constexpr std::string_view kHistogramNames[] = {
 /// Trace-span names for DENSEST_TRACE_SPAN(...) sites. Same grammar and
 /// the same both-direction lint contract as the metric names.
 inline constexpr std::string_view kTraceSpanNames[] = {
-    // One chunk round of the fused multi-run scan.
+    // One round of PassEngine::Drive after its fill (every run's share).
     "core.fused_round",
-    // One directed streaming pass (S/T degree accumulation).
-    "core.pass_directed",
-    // One shard-round dispatch (fan-out unit) inside a pass.
+    // One accumulate dispatch of a round (the fan-out across runs/shards).
     "core.pass_round",
-    // One undirected streaming pass.
-    "core.pass_undirected",
     // One ApplyBatch run on the dynamic engine (writer thread).
     "dynamic.apply_batch",
     // One band-verification checkpoint (exact or batch recompute).

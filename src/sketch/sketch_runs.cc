@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/alive_kernel.h"
+#include "core/peel_runs.h"
 
 namespace densest {
 
@@ -29,9 +30,24 @@ SketchedAlgorithm1Run::SketchedAlgorithm1Run(NodeId n, DegreeOracle& oracle,
   done_ = alive_.empty();
 }
 
-void SketchedAlgorithm1Run::ApplyPass(const UndirectedPassResult& stats) {
+void SketchedAlgorithm1Run::BeginPass() {
+  oracle_->BeginPass();
+  weight_ = 0.0;
+  edges_ = 0;
+}
+
+void SketchedAlgorithm1Run::AccumulateShard(const Shard& shard, size_t) {
+  VisitSurvivors(shard, alive_, [&](const Edge& e) {
+    oracle_->AddIncidence(e.u, e.w);
+    oracle_->AddIncidence(e.v, e.w);
+    weight_ += e.w;
+    ++edges_;
+  });
+}
+
+void SketchedAlgorithm1Run::FinishPass() {
   ++pass_;
-  const double rho = stats.weight / static_cast<double>(alive_.size());
+  const double rho = weight_ / static_cast<double>(alive_.size());
   if (rho > best_density_) {
     best_density_ = rho;
     best_ = alive_;
@@ -75,8 +91,8 @@ void SketchedAlgorithm1Run::ApplyPass(const UndirectedPassResult& stats) {
     PassSnapshot snap;
     snap.pass = pass_;
     snap.nodes = static_cast<NodeId>(alive_.size() + removed);
-    snap.edges = stats.edges;
-    snap.weight = stats.weight;
+    snap.edges = edges_;
+    snap.weight = weight_;
     snap.density = rho;
     snap.threshold = threshold;
     snap.removed = removed;
@@ -101,75 +117,20 @@ SketchedResult SketchedAlgorithm1Run::TakeResult() {
   return std::move(result_);
 }
 
-namespace {
-
-/// A SketchedAlgorithm1Run adapted to MultiRunEngine's fan-out. The oracle
-/// is an order-dependent FP accumulator, so the whole round is consumed
-/// sequentially in shard (= stream) order and parallel_shards() is false:
-/// work-major rounds schedule this run as one whole-round task. The exact
-/// pass aggregates are summed in the same stream order, matching the
-/// sequential driver's scalar drain bit for bit on every stream shape.
-class FusedSketchedRun final : public MultiRunEngine::FusedRun {
- public:
-  FusedSketchedRun(NodeId n, std::unique_ptr<DegreeOracle> oracle,
-                   const Algorithm1Options& options)
-      : run_(n, std::move(oracle), options) {}
-
-  bool done() const override { return run_.done(); }
-  void BeginPass() override {
-    run_.oracle().BeginPass();
-    weight_ = 0.0;
-    edges_ = 0;
-  }
-  bool parallel_shards() const override { return false; }
-  void AccumulateShard(std::span<const Edge> shard, size_t) override {
-    DegreeOracle& oracle = run_.oracle();
-    AliveFirst(shard, BothAlive{run_.alive()}, [&](const Edge& e) {
-      oracle.AddIncidence(e.u, e.w);
-      oracle.AddIncidence(e.v, e.w);
-      weight_ += e.w;
-      ++edges_;
-    });
-  }
-  void FinishPass() override {
-    UndirectedPassResult stats;
-    stats.edges = edges_;
-    stats.weight = weight_;
-    run_.ApplyPass(stats);
-  }
-  SketchedResult TakeResult() { return run_.TakeResult(); }
-
- private:
-  SketchedAlgorithm1Run run_;
-  double weight_ = 0.0;
-  EdgeId edges_ = 0;
-};
-
-}  // namespace
-
 StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
     EdgeStream& stream, const std::vector<SketchedSweepRun>& runs,
     MultiRunEngine* engine) {
-  if (runs.empty()) {
-    // Mirror the Run*Runs entry points: an empty sweep still zeroes the
-    // engine's scan counters (Drive of zero runs scans nothing), so a
-    // caller reusing the engine never reads the previous sweep's totals.
-    if (engine != nullptr) {
-      if (Status s = engine->Drive(stream, {}); !s.ok()) return s;
-    }
-    return std::vector<SketchedResult>{};
-  }
   const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
-  for (const SketchedSweepRun& run : runs) {
-    if (run.options.epsilon < 0) {
-      return Status::InvalidArgument("epsilon must be >= 0");
-    }
-  }
-
-  std::vector<std::unique_ptr<FusedSketchedRun>> states;
+  std::vector<std::unique_ptr<SketchedAlgorithm1Run>> states;
   states.reserve(runs.size());
+  // One token governs the shared scan (see RunDirectedRuns): the first
+  // non-null per-run token.
+  const CancelToken* cancel = nullptr;
   for (const SketchedSweepRun& run : runs) {
+    if (Status s = Algorithm1Run::Validate(n, run.options); !s.ok()) {
+      return s;
+    }
+    if (cancel == nullptr) cancel = run.options.cancel;
     std::unique_ptr<DegreeOracle> oracle;
     if (run.exact) {
       oracle = std::make_unique<ExactDegreeOracle>(n);
@@ -179,38 +140,12 @@ StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
       if (!sketch.ok()) return sketch.status();
       oracle = std::make_unique<SketchDegreeOracle>(std::move(*sketch));
     }
-    states.push_back(std::make_unique<FusedSketchedRun>(
+    states.push_back(std::make_unique<SketchedAlgorithm1Run>(
         n, std::move(oracle), run.options));
   }
-
-  std::unique_ptr<MultiRunEngine> local;
-  if (engine == nullptr) {
-    local = std::make_unique<MultiRunEngine>();
-    engine = local.get();
-  }
-  std::vector<MultiRunEngine::FusedRun*> fused;
-  fused.reserve(states.size());
-  for (auto& state : states) fused.push_back(state.get());
-  // One token governs the shared scan (see RunDirectedRuns): the first
-  // non-null per-run token.
-  const CancelToken* cancel = nullptr;
-  for (const SketchedSweepRun& run : runs) {
-    if (run.options.cancel != nullptr) {
-      cancel = run.options.cancel;
-      break;
-    }
-  }
-  if (Status s = engine->Drive(stream, fused, cancel); !s.ok()) return s;
-
-  std::vector<SketchedResult> results;
-  results.reserve(states.size());
-  uint64_t logical = 0;
-  for (auto& state : states) {
-    results.push_back(state->TakeResult());
-    logical += results.back().result.passes;
-  }
-  engine->RecordLogicalPasses(logical);
-  return results;
+  if (engine != nullptr) return engine->Sweep(stream, states, cancel);
+  MultiRunEngine local;
+  return local.Sweep(stream, states, cancel);
 }
 
 }  // namespace densest

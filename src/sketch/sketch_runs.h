@@ -1,27 +1,19 @@
 // Copyright 2026 The densest Authors.
-// Per-run state machine of the §5.1 sketched Algorithm 1, plus the fused
-// Table 4 sweep that drives a whole grid of sketch configurations from
-// shared physical scans.
+// The run of the §5.1 sketched Algorithm 1, plus the fused Table 4 sweep
+// that drives a whole grid of sketch configurations from shared physical
+// scans.
 //
 // SketchedAlgorithm1Run is to RunAlgorithm1WithOracle what core/peel_runs.h
-// is to RunAlgorithm{1,2,3}: the between-pass state of ONE oracle-backed
-// run — alive set, best-so-far subgraph, the DegreeOracle itself as private
-// per-run state — consuming one completed pass at a time through ApplyPass.
-// Both drivers (the sequential RunAlgorithm1WithOracle and the fused
-// RunSketchedSweep below) share exactly this peeling logic, so a fused
-// sketch run can never diverge from a sequential one by reimplementation
-// drift.
+// is to RunAlgorithm{1,2,3}: ONE oracle-backed run — alive set, best-so-far
+// subgraph, the DegreeOracle itself as private per-run state — as a
+// FusedRun that PassEngine::Drive takes pass by pass. The solo driver and
+// the fused RunSketchedSweep below drive the same class.
 //
-// Fusion and bit-identity: a Count-Sketch is an order-dependent FP
-// accumulator (counter[bucket] += sign * w in stream order), so a fused
-// sketched run is accumulated sequentially within the run — it walks each
-// round's shards in order, which IS stream order, and reports
-// parallel_shards() false so work-major rounds never split it. Its exact
+// A Count-Sketch is an order-dependent FP accumulator (counter[bucket] +=
+// sign * w in stream order), so the run walks each round's shards in order
+// (VisitSurvivors: stream order on both shard fills) and reports
+// parallel_shards() false, so work-major rounds never split it. Its exact
 // scalar aggregates (pass weight, edge count) are summed the same way.
-// That makes fused results bit-identical to sequential ones on EVERY
-// stream shape — including weighted CSR streams, where the plane-based
-// fused runs need a fallback; the sequential sketched driver uses the same
-// stream-order scalar drain.
 
 #ifndef DENSEST_SKETCH_SKETCH_RUNS_H_
 #define DENSEST_SKETCH_SKETCH_RUNS_H_
@@ -39,13 +31,11 @@
 
 namespace densest {
 
-/// \brief One run of the oracle-backed Algorithm 1, driven pass by pass.
-///
-/// Protocol per pass: the driver calls oracle().BeginPass(), feeds every
-/// surviving edge endpoint to oracle().AddIncidence IN STREAM ORDER while
-/// summing the exact pass aggregates, then hands those aggregates to
-/// ApplyPass, which queries the oracle for the removal sweep.
-class SketchedAlgorithm1Run {
+/// \brief One run of the oracle-backed Algorithm 1: every pass feeds each
+/// surviving edge's endpoints to the oracle in stream order while summing
+/// the exact pass aggregates, then peels on the oracle's estimates. Its
+/// options are checked like Algorithm 1's (Algorithm1Run::Validate).
+class SketchedAlgorithm1Run final : public FusedRun {
  public:
   /// Owning constructor (the fused sweep: each run carries its oracle).
   SketchedAlgorithm1Run(NodeId n, std::unique_ptr<DegreeOracle> oracle,
@@ -55,15 +45,14 @@ class SketchedAlgorithm1Run {
   SketchedAlgorithm1Run(NodeId n, DegreeOracle& oracle,
                         const Algorithm1Options& options);
 
-  bool done() const { return done_; }
-  const NodeSet& alive() const { return alive_; }
-  DegreeOracle& oracle() { return *oracle_; }
-
-  /// Consumes one pass worth of exact aggregates: updates the best
-  /// subgraph, peels nodes whose oracle degree estimate is below the
-  /// threshold (forcing geometric progress under heavy sketch noise),
-  /// records the trace, and decides whether the run is finished.
-  void ApplyPass(const UndirectedPassResult& stats);
+  bool done() const override { return done_; }
+  void BeginPass() override;
+  void AccumulateShard(const Shard& shard, size_t slot) override;
+  bool parallel_shards() const override { return false; }
+  /// Updates the best subgraph, peels nodes whose oracle degree estimate
+  /// is below the threshold (forcing geometric progress under heavy sketch
+  /// noise), records the trace, and decides whether the run is finished.
+  void FinishPass() override;
 
   /// Finalizes the result (call once, after done()).
   SketchedResult TakeResult();
@@ -78,6 +67,8 @@ class SketchedAlgorithm1Run {
   double best_density_ = -1.0;
   uint64_t pass_ = 0;
   bool done_ = false;
+  double weight_ = 0.0;  // exact pass aggregates
+  EdgeId edges_ = 0;
   SketchedResult result_;
 };
 
@@ -100,7 +91,7 @@ struct SketchedSweepRun {
 /// Table 4 grid costs max-over-runs(passes) scans instead of the sum.
 /// Results are positionally matched to `runs` and bit-identical to
 /// sequential RunAlgorithm1WithOracle calls with equal oracles, for any
-/// engine thread count and fan-out mode. Uses a private MultiRunEngine
+/// engine thread count and stream. Uses a private MultiRunEngine
 /// when `engine` is null; on success the engine's last_physical_passes() /
 /// last_logical_passes() report the fused saving.
 StatusOr<std::vector<SketchedResult>> RunSketchedSweep(

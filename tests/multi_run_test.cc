@@ -1,8 +1,10 @@
 // Equivalence tests for the fused MultiRunEngine: a fused c-sweep or
 // epsilon-sweep must produce results bit-identical to the same
 // configurations run sequentially — densities, pass counts, survivor sets
-// and traces — across 1..8 fan-out threads and every stream type, while
-// physically scanning the stream only max-over-runs(passes) times.
+// and traces — across 1..8 threads (so both fan-out shapes: run-major while
+// the runs are at least as many as the threads, work-major below) and
+// every stream type, while physically scanning the stream only
+// max-over-runs(passes) times.
 
 #include "core/multi_run.h"
 
@@ -85,8 +87,9 @@ std::vector<Algorithm3Options> DirectedGrid() {
 }
 
 /// Fused results over `stream` must equal sequential RunAlgorithm3 per
-/// options, for every fan-out thread count and both fan-out shapes
-/// (run-major, and work-major where (run, shard) pairs are the tasks).
+/// options, for every thread count: the 7 runs take run-major rounds at 2
+/// and 4 threads and work-major ones, where (run, shard) pairs are the
+/// tasks, at 8.
 void CheckDirectedEquivalence(EdgeStream& stream, const std::string& label) {
   const std::vector<Algorithm3Options> grid = DirectedGrid();
 
@@ -97,28 +100,20 @@ void CheckDirectedEquivalence(EdgeStream& stream, const std::string& label) {
     seq.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kAuto, MultiRunFanOut::kRunMajor,
-        MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = engine.RunDirectedRuns(stream, grid);
-      ASSERT_TRUE(fused.ok()) << label;
-      ASSERT_EQ(fused->size(), grid.size()) << label;
-      uint64_t max_passes = 0;
-      for (size_t i = 0; i < grid.size(); ++i) {
-        ExpectSameDirected(
-            seq[i], (*fused)[i],
-            label + " fan_out=" + std::to_string(static_cast<int>(fan_out)) +
-                " threads=" + std::to_string(threads) +
-                " run=" + std::to_string(i));
-        max_passes = std::max(max_passes, (*fused)[i].passes);
-      }
-      // The fused engine scans once per pass round: exactly the longest
-      // run.
-      EXPECT_EQ(engine.last_physical_passes(), max_passes) << label;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = engine.RunDirectedRuns(stream, grid);
+    ASSERT_TRUE(fused.ok()) << label;
+    ASSERT_EQ(fused->size(), grid.size()) << label;
+    uint64_t max_passes = 0;
+    for (size_t i = 0; i < grid.size(); ++i) {
+      ExpectSameDirected(seq[i], (*fused)[i],
+                         label + " threads=" + std::to_string(threads) +
+                             " run=" + std::to_string(i));
+      max_passes = std::max(max_passes, (*fused)[i].passes);
     }
+    // The fused engine scans once per pass round: exactly the longest run.
+    EXPECT_EQ(engine.last_physical_passes(), max_passes) << label;
   }
 }
 
@@ -196,26 +191,20 @@ void CheckEpsilonSweepEquivalence(EdgeStream& stream,
     seq.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kAuto, MultiRunFanOut::kRunMajor,
-        MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
-      ASSERT_TRUE(fused.ok()) << label;
-      ASSERT_EQ(fused->size(), epsilons.size()) << label;
-      uint64_t max_io = 0;
-      for (size_t i = 0; i < epsilons.size(); ++i) {
-        ExpectSameUndirected(
-            seq[i], (*fused)[i],
-            label + " fan_out=" + std::to_string(static_cast<int>(fan_out)) +
-                " threads=" + std::to_string(threads) +
-                " eps=" + std::to_string(epsilons[i]));
-        max_io = std::max(max_io, (*fused)[i].io_passes);
-      }
-      EXPECT_EQ(engine.last_physical_passes(), max_io) << label;
+  // 5 runs: run-major at 2 and 4 threads, work-major at 8.
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
+    ASSERT_TRUE(fused.ok()) << label;
+    ASSERT_EQ(fused->size(), epsilons.size()) << label;
+    uint64_t max_io = 0;
+    for (size_t i = 0; i < epsilons.size(); ++i) {
+      ExpectSameUndirected(seq[i], (*fused)[i],
+                           label + " threads=" + std::to_string(threads) +
+                               " eps=" + std::to_string(epsilons[i]));
+      max_io = std::max(max_io, (*fused)[i].io_passes);
     }
+    EXPECT_EQ(engine.last_physical_passes(), max_io) << label;
   }
 }
 
@@ -253,9 +242,8 @@ TEST(MultiRunEpsilonSweepTest, CirculantEdgeStream) {
 }
 
 TEST(MultiRunEpsilonSweepTest, WeightedCsrStreamMatchesSequential) {
-  // Weighted + CSR view: RunAlgorithm1EpsilonSweep must fall back to
-  // run-by-run execution (like RunCSearch) so results never depend on
-  // fusing, bit for bit.
+  // Weighted + CSR view: fused and solo runs take the same row kernel, so
+  // the sweep matches run-by-run execution bit for bit.
   GraphBuilder b;
   EdgeList el = ErdosRenyiGnm(200, 2500, 89);
   Rng rng(97);
@@ -313,19 +301,16 @@ TEST(MultiRunAlgorithm2Test, FusedMatchesSequential) {
     seq.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kAuto, MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 4u}) {
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = engine.RunUndirectedRuns(stream, grid);
-      ASSERT_TRUE(fused.ok());
-      ASSERT_EQ(fused->size(), grid.size());
-      for (size_t i = 0; i < grid.size(); ++i) {
-        ExpectSameUndirected(seq[i], (*fused)[i],
-                             "alg2 threads=" + std::to_string(threads) +
-                                 " run=" + std::to_string(i));
-      }
+  // 6 runs: run-major at 4 threads, work-major at 8.
+  for (size_t threads : {1u, 4u, 8u}) {
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = engine.RunUndirectedRuns(stream, grid);
+    ASSERT_TRUE(fused.ok());
+    ASSERT_EQ(fused->size(), grid.size());
+    for (size_t i = 0; i < grid.size(); ++i) {
+      ExpectSameUndirected(seq[i], (*fused)[i],
+                           "alg2 threads=" + std::to_string(threads) +
+                               " run=" + std::to_string(i));
     }
   }
 }
@@ -387,9 +372,7 @@ TEST(MultiRunCSearchTest, FusedMatchesSequentialAndSavesScans) {
 }
 
 TEST(MultiRunCSearchTest, WeightedCsrStreamIdenticalAcrossFusedFlag) {
-  // Weighted + CSR view is the one shape where fused accumulation could
-  // differ in low-order FP bits; RunCSearch must fall back run-by-run so
-  // the flag never changes results.
+  // Weighted + CSR view: the fused flag never changes results.
   GraphBuilder b;
   EdgeList el = ErdosRenyiDirectedGnm(120, 1500, 73);
   Rng rng(79);
@@ -444,8 +427,9 @@ TEST(MultiRunCSearchTest, EmptyAndInvalidInputs) {
 // Peel-run state machines: drivers agree with the state-machine protocol.
 
 TEST(PeelRunsTest, Algorithm1RunMatchesDriver) {
-  // Drive an Algorithm1Run by hand with a private engine and compare with
-  // RunAlgorithm1 — guards the ApplyPass protocol itself.
+  // Drive an Algorithm1Run by hand through the FusedRun protocol — each
+  // pass one edge shard holding the whole stream — and compare with
+  // RunAlgorithm1: guards the protocol itself.
   EdgeList el = ErdosRenyiGnm(200, 2500, 73);
   EdgeListStream stream(el);
   Algorithm1Options options;
@@ -454,19 +438,80 @@ TEST(PeelRunsTest, Algorithm1RunMatchesDriver) {
   auto want = RunAlgorithm1(stream, options);
   ASSERT_TRUE(want.ok());
 
-  PassEngine engine(PassEngineOptions{.num_threads = 1});
-  Algorithm1Run run(stream.num_nodes(), options);
-  std::vector<double> degrees(stream.num_nodes());
+  Algorithm1Run run(stream.num_nodes(), options, /*direct=*/true);
   while (!run.done()) {
     ASSERT_EQ(run.mode(), Algorithm1Run::PassMode::kStream);
-    UndirectedPassResult stats =
-        engine.RunUndirected(stream, run.alive(), degrees);
-    run.ApplyPass(stats, degrees);
+    ASSERT_EQ(run.private_edges(), nullptr);
+    run.BeginPass();
+    run.AccumulateShard(Shard{.edges = el.edges()}, 0);
+    run.FinishPass();
   }
   UndirectedDensestResult got = run.TakeResult();
   EXPECT_EQ(got.density, want->density);
   EXPECT_EQ(got.passes, want->passes);
   EXPECT_EQ(got.nodes, want->nodes);
+}
+
+// ---------------------------------------------------------------------------
+// Weighted CSR-view streams: the sweeps called directly take the same row
+// kernel as the solo algorithms.
+
+/// A weighted CSR source with self-loops (undirected) or arcs (directed).
+EdgeList WeightedLoopyEdges(NodeId n, size_t m, uint64_t seed) {
+  Rng rng(seed);
+  EdgeList el(n);
+  for (size_t i = 0; i < m; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformU64(n));
+    const NodeId v = i % 13 == 0 ? u : static_cast<NodeId>(rng.UniformU64(n));
+    el.Add(u, v, 0.25 + rng.UniformDouble());
+  }
+  return el;
+}
+
+TEST(MultiRunWeightedCsrTest, SweepsMatchSoloRunsAtAnyThreadCount) {
+  const EdgeList el = WeightedLoopyEdges(2500, 60000, 101);
+  const UndirectedGraph g = UndirectedGraph::FromEdgeList(el);
+  const DirectedGraph dg = DirectedGraph::FromEdgeList(el);
+  ASSERT_TRUE(g.has_self_loops());
+  UndirectedGraphStream stream(g);
+  DirectedGraphStream arc_stream(dg);
+
+  std::vector<Algorithm1Options> alg1(3);
+  alg1[0].epsilon = 0.1;
+  alg1[1].epsilon = 0.5;
+  alg1[2].epsilon = 0.1;
+  alg1[2].compact_below_edges = 20000;
+  std::vector<Algorithm3Options> alg3(3);
+  alg3[0].c = 0.5;
+  alg3[1].c = 1.0;
+  alg3[2].c = 2.0;
+  alg3[2].rule = DirectedRemovalRule::kMaxDegree;
+
+  for (size_t threads : {1u, 4u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    PassEngine solo(PassEngineOptions{.num_threads = threads});
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused1 = engine.RunUndirectedRuns(stream, alg1);
+    ASSERT_TRUE(fused1.ok()) << label;
+    for (size_t i = 0; i < alg1.size(); ++i) {
+      Algorithm1Options o = alg1[i];
+      o.engine = &solo;
+      auto want = RunAlgorithm1(stream, o);
+      ASSERT_TRUE(want.ok()) << label;
+      ExpectSameUndirected(*want, (*fused1)[i],
+                           "alg1 " + label + " run=" + std::to_string(i));
+    }
+    auto fused3 = engine.RunDirectedRuns(arc_stream, alg3);
+    ASSERT_TRUE(fused3.ok()) << label;
+    for (size_t i = 0; i < alg3.size(); ++i) {
+      Algorithm3Options o = alg3[i];
+      o.engine = &solo;
+      auto want = RunAlgorithm3(arc_stream, o);
+      ASSERT_TRUE(want.ok()) << label;
+      ExpectSameDirected(*want, (*fused3)[i],
+                         "alg3 " + label + " run=" + std::to_string(i));
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -498,7 +543,7 @@ bool MostlyDeadPassSeen(const std::vector<Snapshot>& trace) {
 TEST(MultiRunAliveKernelTest, FusedAlgorithms1And2MatchSequentialAfterPeels) {
   EdgeList el = DeepPeelGraph(/*directed=*/false, 83);
   ASSERT_GT(el.edges().size(),
-            PassEngine::kShardSlots * PassEngine::kShardEdges);
+            kShardSlots * kShardEdges);
   EdgeListStream stream(el);
 
   std::vector<Algorithm1Options> alg1(3);
@@ -525,26 +570,21 @@ TEST(MultiRunAliveKernelTest, FusedAlgorithms1And2MatchSequentialAfterPeels) {
     seq2.push_back(std::move(*r));
   }
 
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kRunMajor, MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 4u}) {
-      const std::string label =
-          "fan_out=" + std::to_string(static_cast<int>(fan_out)) +
-          " threads=" + std::to_string(threads);
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused1 = engine.RunUndirectedRuns(stream, alg1);
-      ASSERT_TRUE(fused1.ok()) << label;
-      for (size_t i = 0; i < alg1.size(); ++i) {
-        ExpectSameUndirected(seq1[i], (*fused1)[i],
-                             "alg1 " + label + " run=" + std::to_string(i));
-      }
-      auto fused2 = engine.RunUndirectedRuns(stream, alg2);
-      ASSERT_TRUE(fused2.ok()) << label;
-      for (size_t i = 0; i < alg2.size(); ++i) {
-        ExpectSameUndirected(seq2[i], (*fused2)[i],
-                             "alg2 " + label + " run=" + std::to_string(i));
-      }
+  // 3 and 2 runs: run-major at 2 threads (alg1), work-major at 4.
+  for (size_t threads : {1u, 2u, 4u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused1 = engine.RunUndirectedRuns(stream, alg1);
+    ASSERT_TRUE(fused1.ok()) << label;
+    for (size_t i = 0; i < alg1.size(); ++i) {
+      ExpectSameUndirected(seq1[i], (*fused1)[i],
+                           "alg1 " + label + " run=" + std::to_string(i));
+    }
+    auto fused2 = engine.RunUndirectedRuns(stream, alg2);
+    ASSERT_TRUE(fused2.ok()) << label;
+    for (size_t i = 0; i < alg2.size(); ++i) {
+      ExpectSameUndirected(seq2[i], (*fused2)[i],
+                           "alg2 " + label + " run=" + std::to_string(i));
     }
   }
 }
@@ -552,7 +592,7 @@ TEST(MultiRunAliveKernelTest, FusedAlgorithms1And2MatchSequentialAfterPeels) {
 TEST(MultiRunAliveKernelTest, FusedAlgorithm3MatchesSequentialAfterPeels) {
   EdgeList el = DeepPeelGraph(/*directed=*/true, 89);
   ASSERT_GT(el.edges().size(),
-            PassEngine::kShardSlots * PassEngine::kShardEdges);
+            kShardSlots * kShardEdges);
   EdgeListStream stream(el);
 
   std::vector<Algorithm3Options> grid;
@@ -569,20 +609,15 @@ TEST(MultiRunAliveKernelTest, FusedAlgorithm3MatchesSequentialAfterPeels) {
     EXPECT_TRUE(MostlyDeadPassSeen(r->trace));
     seq.push_back(std::move(*r));
   }
-  for (MultiRunFanOut fan_out :
-       {MultiRunFanOut::kRunMajor, MultiRunFanOut::kWorkMajor}) {
-    for (size_t threads : {1u, 4u}) {
-      const std::string label =
-          "fan_out=" + std::to_string(static_cast<int>(fan_out)) +
-          " threads=" + std::to_string(threads);
-      MultiRunEngine engine(
-          MultiRunOptions{.num_threads = threads, .fan_out = fan_out});
-      auto fused = engine.RunDirectedRuns(stream, grid);
-      ASSERT_TRUE(fused.ok()) << label;
-      for (size_t i = 0; i < grid.size(); ++i) {
-        ExpectSameDirected(seq[i], (*fused)[i],
-                           label + " run=" + std::to_string(i));
-      }
+  // 3 runs: run-major at 2 threads, work-major at 4.
+  for (size_t threads : {1u, 2u, 4u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    auto fused = engine.RunDirectedRuns(stream, grid);
+    ASSERT_TRUE(fused.ok()) << label;
+    for (size_t i = 0; i < grid.size(); ++i) {
+      ExpectSameDirected(seq[i], (*fused)[i],
+                         label + " run=" + std::to_string(i));
     }
   }
 }

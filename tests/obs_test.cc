@@ -15,13 +15,17 @@
 
 #include <gtest/gtest.h>
 
+#include "core/algorithm1.h"
 #include "core/answer.h"
+#include "core/pass_engine.h"
+#include "gen/erdos_renyi.h"
 #include "obs/exporter.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/answer_plane.h"
 #include "serve/query_service.h"
+#include "stream/memory_stream.h"
 
 namespace densest::obs {
 namespace {
@@ -295,6 +299,33 @@ TEST_F(ObsTest, SpansOutsideRecordingAreNotBuffered) {
 #endif  // DENSEST_TRACING_ENABLED
 
 // ----------------------------------------------------- stats query kind --
+
+TEST_F(ObsTest, SoloUnitWeightRunRecordsPassRounds) {
+  // A 1-thread engine on a unit-weight stream: the cheapest solo path must
+  // still count its rounds and open both round spans, or a traced solve
+  // cannot attribute its kernel time.
+  EdgeList el = ErdosRenyiGnm(300, 3000, 7);
+  EdgeListStream stream(el);
+  PassEngine engine(PassEngineOptions{.num_threads = 1});
+  Algorithm1Options options;
+  options.engine = &engine;
+  TraceRecorder::Get().Start();
+  StatusOr<UndirectedDensestResult> r = RunAlgorithm1(stream, options);
+  TraceRecorder::Get().Stop();
+  ASSERT_TRUE(r.ok());
+
+  const MetricsSnapshot snap = MetricsRegistry::Get().Collect();
+  EXPECT_GE(CounterValue(snap, "core.pass_rounds"),
+            static_cast<double>(r->passes));
+  EXPECT_EQ(CounterValue(snap, "core.passes"), static_cast<double>(r->passes));
+  size_t pass_round = 0, fused_round = 0;
+  for (const TraceSpan& span : TraceRecorder::Get().Drain()) {
+    pass_round += span.name == "core.pass_round" ? 1 : 0;
+    fused_round += span.name == "core.fused_round" ? 1 : 0;
+  }
+  EXPECT_GE(pass_round, r->passes);
+  EXPECT_EQ(fused_round, pass_round);
+}
 
 TEST_F(ObsTest, StatsQueryKindServesExposition) {
   AnswerPlane plane(16);

@@ -261,57 +261,6 @@ TEST(PassEngineTest, DirectedIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(PassEngineTest, CollectPreservesStreamOrder) {
-  const NodeId n = 200;
-  EdgeList el = ErdosRenyiGnm(n, 3000, 41);
-  EdgeListStream stream(el);
-  NodeSet alive = EveryThirdDead(n);
-
-  // Expected survivors: the filtered stream in original order.
-  std::vector<Edge> want;
-  for (const Edge& e : el.edges()) {
-    if (alive.Contains(e.u) && alive.Contains(e.v)) want.push_back(e);
-  }
-
-  for (size_t threads : {1u, 4u}) {
-    PassEngine engine(PassEngineOptions{.num_threads = threads});
-    std::vector<double> degrees(n);
-    std::vector<Edge> survivors;
-    UndirectedPassResult r =
-        engine.RunUndirectedCollect(stream, alive, degrees, &survivors);
-    EXPECT_EQ(r.edges, want.size()) << threads;
-    EXPECT_EQ(survivors, want) << threads;
-  }
-}
-
-TEST(PassEngineTest, BufferPassCompactsInPlace) {
-  const NodeId n = 200;
-  EdgeList el = ErdosRenyiGnm(n, 3000, 47);
-  NodeSet alive = EveryThirdDead(n);
-
-  std::vector<Edge> want;
-  for (const Edge& e : el.edges()) {
-    if (alive.Contains(e.u) && alive.Contains(e.v)) want.push_back(e);
-  }
-
-  for (size_t threads : {1u, 4u}) {
-    PassEngine engine(PassEngineOptions{.num_threads = threads});
-    std::vector<Edge> buffer = el.edges();
-    std::vector<double> degrees(n);
-    UndirectedPassResult r =
-        engine.RunUndirectedBuffer(buffer, alive, degrees, /*compact=*/true);
-    EXPECT_EQ(r.edges, want.size()) << threads;
-    EXPECT_EQ(buffer, want) << threads;
-
-    // A second pass over the compacted buffer sees the same statistics.
-    std::vector<double> degrees2(n);
-    UndirectedPassResult r2 =
-        engine.RunUndirectedBuffer(buffer, alive, degrees2, /*compact=*/false);
-    EXPECT_EQ(r2.edges, r.edges);
-    EXPECT_EQ(degrees2, degrees);
-  }
-}
-
 TEST(PassEngineTest, AlgorithmsIdenticalAcrossInjectedEngines) {
   // Algorithm-level determinism: private engines with different thread
   // counts must produce identical node sets and densities.
@@ -361,7 +310,7 @@ TEST(PassEngineTest, EmptyStreamYieldsZeroes) {
 TEST(PassEngineTest, MultiRoundStreamsSpanRounds) {
   // More edges than one round (kShardSlots * kShardEdges) to cover the
   // refill path and cross-round accumulator reuse.
-  const size_t round = PassEngine::kShardSlots * PassEngine::kShardEdges;
+  const size_t round = kShardSlots * kShardEdges;
   const NodeId n = 1000;
   EdgeList el(n);
   Rng rng(61);
@@ -389,7 +338,7 @@ TEST(PassEngineTest, MultiRoundStreamsSpanRounds) {
 /// Shard lengths at the kernel's block boundaries and past one engine shard.
 std::vector<size_t> KernelLengths() {
   const size_t block = kAliveBlock;
-  return {0, 1, block - 1, block, block + 1, PassEngine::kShardEdges + 7};
+  return {0, 1, block - 1, block, block + 1, kShardEdges + 7};
 }
 
 enum class AliveShape { kAllDead, kAllAlive, kAlternating, kSparse };
@@ -486,25 +435,17 @@ TEST(AliveKernelTest, UndirectedShardMatchesScalarLoop) {
       }
 
       std::vector<double> got(n, 0.0);
-      std::vector<Edge> survivors;
-      const UndirectedPassResult r = AccumulateUndirectedShard(
-          c.edges, c.alive, got.data(), AppendSurvivors{&survivors});
+      const UndirectedPassResult r =
+          AccumulateUndirectedShard(c.edges, c.alive, got.data());
       EXPECT_EQ(r.edges, ref.arcs) << label;
       EXPECT_EQ(r.weight, ref.weight) << label;  // bits, not NEAR
       EXPECT_EQ(got, want) << label;
-      EXPECT_EQ(survivors, want_survivors) << label;
 
-      // In-place compaction leaves the survivors, in order, at the front.
-      std::vector<Edge> buffer = c.edges;
-      std::vector<double> compacted(n, 0.0);
-      size_t kept = 0;
-      const UndirectedPassResult rc = AccumulateUndirectedShard(
-          buffer, c.alive, compacted.data(),
-          [&](const Edge& e) { buffer[kept++] = e; });
-      buffer.resize(kept);
-      EXPECT_EQ(rc.weight, ref.weight) << label;
-      EXPECT_EQ(compacted, want) << label;
-      EXPECT_EQ(buffer, want_survivors) << label;
+      // The stream-order walk yields the survivors, in order.
+      std::vector<Edge> survivors;
+      VisitSurvivors(Shard{.edges = c.edges}, c.alive,
+                     [&](const Edge& e) { survivors.push_back(e); });
+      EXPECT_EQ(survivors, want_survivors) << label;
     }
   }
 }
@@ -539,15 +480,15 @@ DirectedPassResult SlottedReference(const std::vector<Edge>& edges,
                                     const NodeSet& alive, const NodeSet* t,
                                     NodeId n, std::vector<double>& deg,
                                     std::vector<double>& in) {
-  constexpr size_t kSlots = PassEngine::kShardSlots;
+  constexpr size_t kSlots = kShardSlots;
   std::vector<std::vector<double>> deg_slots(kSlots,
                                              std::vector<double>(n, 0.0));
   std::vector<std::vector<double>> in_slots = deg_slots;
   std::vector<double> slot_weight(kSlots, 0.0);
   std::vector<EdgeId> slot_count(kSlots, 0);
   for (size_t start = 0, shard = 0; start < edges.size();
-       start += PassEngine::kShardEdges, ++shard) {
-    const size_t end = std::min(edges.size(), start + PassEngine::kShardEdges);
+       start += kShardEdges, ++shard) {
+    const size_t end = std::min(edges.size(), start + kShardEdges);
     const std::vector<Edge> piece(edges.begin() + start, edges.begin() + end);
     const size_t slot = shard % kSlots;
     const DirectedPassResult r = ScalarShard(
@@ -575,7 +516,7 @@ DirectedPassResult SlottedReference(const std::vector<Edge>& edges,
 /// into a second round.
 std::vector<size_t> PassLengths() {
   std::vector<size_t> lengths = KernelLengths();
-  lengths.push_back(PassEngine::kShardSlots * PassEngine::kShardEdges + 7);
+  lengths.push_back(kShardSlots * kShardEdges + 7);
   return lengths;
 }
 
@@ -622,73 +563,231 @@ TEST(AliveKernelTest, WeightedPassesMatchSlottedReferenceAtAnyThreadCount) {
   }
 }
 
-TEST(AliveKernelTest, CollectAndBufferPassesKeepStreamOrder) {
-  const NodeId n = 900;
-  for (size_t length : PassLengths()) {
-    for (AliveShape shape : kShapes) {
-      KernelCase c = MakeKernelCase(length, shape, n, 400 + length);
-      std::vector<Edge> want;
-      for (const Edge& e : c.edges) {
-        if (c.alive.Contains(e.u) && c.alive.Contains(e.v)) want.push_back(e);
-      }
-      std::vector<double> ref_deg, unused;
-      const DirectedPassResult ref =
-          SlottedReference(c.edges, c.alive, nullptr, n, ref_deg, unused);
-      for (bool weighted : {true, false}) {
-        EdgeList el(n);
-        for (const Edge& e : c.edges) el.Add(e.u, e.v, weighted ? e.w : 1.0);
-        EdgeListStream stream(el);
-        std::vector<Edge> want_edges = want;
-        if (!weighted) {
-          for (Edge& e : want_edges) e.w = 1.0;
-        }
-        for (size_t threads : {1u, 4u}) {
-          const std::string label =
-              ShapeName(shape) + " length=" + std::to_string(length) +
-              " threads=" + std::to_string(threads) +
-              (weighted ? " weighted" : " unit");
-          PassEngine engine(PassEngineOptions{.num_threads = threads});
-          std::vector<double> deg(n);
-          std::vector<Edge> survivors;
-          const UndirectedPassResult r =
-              engine.RunUndirectedCollect(stream, c.alive, deg, &survivors);
-          EXPECT_EQ(r.edges, want.size()) << label;
-          EXPECT_EQ(survivors, want_edges) << label;
+// ---------------------------------------------------------------------------
+// The row fill and Drive itself: CSR row kernels, stream-order delivery on
+// both fills, and Algorithm 1's in-memory passes.
 
-          std::vector<Edge> buffer = el.edges();
-          std::vector<double> buffer_deg(n);
-          const UndirectedPassResult b = engine.RunUndirectedBuffer(
-              buffer, c.alive, buffer_deg, /*compact=*/true);
-          EXPECT_EQ(b.edges, want.size()) << label;
-          EXPECT_EQ(buffer, want_edges) << label;
-          if (weighted) {
-            // The buffer pass runs the slotted schedule at every thread
-            // count, so its weighted sums match the reference bit for bit.
-            EXPECT_EQ(b.weight, ref.weight) << label;
-            EXPECT_EQ(buffer_deg, ref_deg) << label;
-          }
-        }
+/// Edges over n nodes with self-loops, weights multiples of 1/8 (dyadic, so
+/// every sum is exact in any order) or, with dyadic false, arbitrary.
+EdgeList LoopyEdges(NodeId n, size_t m, uint64_t seed, bool dyadic) {
+  Rng rng(seed);
+  EdgeList el(n);
+  for (size_t i = 0; i < m; ++i) {
+    const NodeId u = static_cast<NodeId>(rng.UniformU64(n));
+    const NodeId v =
+        i % 17 == 0 ? u : static_cast<NodeId>(rng.UniformU64(n));
+    el.Add(u, v,
+           dyadic ? 0.125 * static_cast<double>(1 + rng.UniformU64(16))
+                  : 0.25 + rng.UniformDouble());
+  }
+  return el;
+}
+
+/// Reference directed pass: one arc at a time, in stream order.
+DirectedPassResult ScalarDirectedPass(EdgeStream& stream, const NodeSet& s,
+                                      const NodeSet& t,
+                                      std::vector<double>& out,
+                                      std::vector<double>& in) {
+  std::fill(out.begin(), out.end(), 0.0);
+  std::fill(in.begin(), in.end(), 0.0);
+  DirectedPassResult r;
+  stream.Reset();
+  Edge e;
+  while (stream.Next(&e)) {
+    if (!s.Contains(e.u) || !t.Contains(e.v)) continue;
+    out[e.u] += e.w;
+    in[e.v] += e.w;
+    r.weight += e.w;
+    ++r.arcs;
+  }
+  return r;
+}
+
+TEST(AliveKernelTest, RowKernelsMatchScalarEdgeLoop) {
+  const NodeId n = 600;
+  NodeSet t(n, /*full=*/true);
+  for (NodeId u = 2; u < n; u += 5) t.Remove(u);
+  for (bool unit : {false, true}) {
+    // Unit weights without self-loops take the unrolled kernel.
+    EdgeList el = LoopyEdges(n, 9000, unit ? 601 : 602, /*dyadic=*/true);
+    if (unit) {
+      EdgeList plain(n);
+      for (const Edge& e : el.edges()) {
+        if (e.u != e.v) plain.Add(e.u, e.v);
       }
+      el = plain;
+    }
+    const UndirectedGraph g = UndirectedGraph::FromEdgeList(el);
+    const DirectedGraph dg = DirectedGraph::FromEdgeList(el);
+    ASSERT_EQ(g.has_self_loops(), !unit);
+    UndirectedGraphStream stream(g);
+    DirectedGraphStream arc_stream(dg);
+    for (AliveShape shape : kShapes) {
+      const std::string label =
+          ShapeName(shape) + (unit ? " unit" : " weighted-loops");
+      const NodeSet alive = MakeKernelCase(0, shape, n, 603).alive;
+      std::vector<double> want(n);
+      const UndirectedPassResult ref =
+          ScalarUndirectedPass(stream, alive, want);
+      std::vector<double> want_out(n), want_in(n);
+      const DirectedPassResult dref =
+          ScalarDirectedPass(arc_stream, alive, t, want_out, want_in);
+
+      // Two uneven row shards into two slots.
+      const NodeId cut = n / 3;
+      std::vector<double> deg(n, 0.0), out(n, 0.0), in(n, 0.0);
+      SlotTotals totals, dtotals;
+      AccumulateUndirected(Shard{.graph = &g, .begin = 0, .end = cut}, alive,
+                           deg.data(), totals, 0);
+      AccumulateUndirected(Shard{.graph = &g, .begin = cut, .end = n}, alive,
+                           deg.data(), totals, 1);
+      AccumulateDirected(Shard{.digraph = &dg, .begin = 0, .end = cut}, alive,
+                         t, out.data(), in.data(), dtotals, 0);
+      AccumulateDirected(Shard{.digraph = &dg, .begin = cut, .end = n}, alive,
+                         t, out.data(), in.data(), dtotals, 1);
+      const UndirectedPassResult r = totals.Undirected();
+      EXPECT_EQ(r.edges, ref.edges) << label;
+      EXPECT_EQ(r.weight, ref.weight) << label;
+      EXPECT_EQ(deg, want) << label;
+      const DirectedPassResult d = dtotals.Directed();
+      EXPECT_EQ(d.arcs, dref.arcs) << label;
+      EXPECT_EQ(d.weight, dref.weight) << label;
+      EXPECT_EQ(out, want_out) << label;
+      EXPECT_EQ(in, want_in) << label;
     }
   }
 }
 
-TEST(AliveKernelTest, ForEachAliveEdgeVisitsSurvivorsInOrder) {
-  const NodeId n = 900;
-  const size_t length = PassEngine::kShardSlots * PassEngine::kShardEdges + 7;
-  KernelCase c = MakeKernelCase(length, AliveShape::kSparse, n, 501);
-  EdgeList el(n);
-  for (const Edge& e : c.edges) el.Add(e.u, e.v, e.w);
-  EdgeListStream stream(el);
-  std::vector<Edge> want;
-  for (const Edge& e : c.edges) {
-    if (c.alive.Contains(e.u) && c.alive.Contains(e.v)) want.push_back(e);
+TEST(PassEngineTest, CsrPassesIdenticalAcrossThreadCounts) {
+  // Arbitrary weights and self-loops: the row fill's slot schedule must
+  // not depend on the thread count, bit for bit.
+  const NodeId n = 3000;
+  EdgeList el = LoopyEdges(n, 150000, 611, /*dyadic=*/false);
+  const UndirectedGraph g = UndirectedGraph::FromEdgeList(el);
+  const DirectedGraph dg = DirectedGraph::FromEdgeList(el);
+  UndirectedGraphStream stream(g);
+  DirectedGraphStream arc_stream(dg);
+  const NodeSet alive = EveryThirdDead(n);
+  NodeSet t(n, /*full=*/true);
+  for (NodeId u = 1; u < n; u += 4) t.Remove(u);
+
+  PassEngine one(PassEngineOptions{.num_threads = 1});
+  std::vector<double> deg1(n), out1(n), in1(n);
+  const UndirectedPassResult r1 = one.RunUndirected(stream, alive, deg1);
+  const DirectedPassResult d1 = one.RunDirected(arc_stream, alive, t, out1,
+                                                in1);
+  EXPECT_GT(r1.edges, 0u);
+  EXPECT_GT(d1.arcs, 0u);
+  for (size_t threads : {2u, 4u}) {
+    PassEngine many(PassEngineOptions{.num_threads = threads});
+    std::vector<double> degN(n), outN(n), inN(n);
+    const UndirectedPassResult rN = many.RunUndirected(stream, alive, degN);
+    EXPECT_EQ(rN.edges, r1.edges) << threads;
+    EXPECT_EQ(rN.weight, r1.weight) << threads;
+    EXPECT_EQ(degN, deg1) << threads;
+    const DirectedPassResult dN =
+        many.RunDirected(arc_stream, alive, t, outN, inN);
+    EXPECT_EQ(dN.arcs, d1.arcs) << threads;
+    EXPECT_EQ(dN.weight, d1.weight) << threads;
+    EXPECT_EQ(outN, out1) << threads;
+    EXPECT_EQ(inN, in1) << threads;
   }
-  PassEngine engine(PassEngineOptions{.num_threads = 1});
-  std::vector<Edge> got;
-  engine.ForEachAliveEdge(stream, c.alive,
-                          [&](const Edge& e) { got.push_back(e); });
-  EXPECT_EQ(got, want);
+}
+
+/// A one-pass run that records the survivors VisitSurvivors hands it.
+class RecordingRun final : public FusedRun {
+ public:
+  explicit RecordingRun(const NodeSet& alive) : alive_(alive) {}
+  bool done() const override { return done_; }
+  void BeginPass() override { seen.clear(); }
+  void AccumulateShard(const Shard& shard, size_t) override {
+    VisitSurvivors(shard, alive_, [&](const Edge& e) { seen.push_back(e); });
+  }
+  bool parallel_shards() const override { return false; }
+  void FinishPass() override { done_ = true; }
+
+  std::vector<Edge> seen;
+
+ private:
+  const NodeSet& alive_;
+  bool done_ = false;
+};
+
+TEST(DriveTest, OrderedRunsSeeStreamOrderOnBothFills) {
+  // Runs whose pass depends on edge order (sketches, Algorithm 1's collect
+  // pass) must see exactly the stream's survivors in the stream's order,
+  // on the edge fill and the row fill, at any thread count and width.
+  const NodeId n = 5000;
+  const EdgeList el = LoopyEdges(n, 150000, 621, /*dyadic=*/false);
+  const UndirectedGraph g = UndirectedGraph::FromEdgeList(el);
+  EdgeListStream list_stream(el);
+  UndirectedGraphStream csr_stream(g);
+  const NodeSet alive = MakeKernelCase(0, AliveShape::kSparse, n, 622).alive;
+  for (EdgeStream* stream :
+       {static_cast<EdgeStream*>(&list_stream),
+        static_cast<EdgeStream*>(&csr_stream)}) {
+    const std::vector<Edge> all = DrainScalar(*stream);
+    ASSERT_GT(all.size(), kShardSlots * kShardEdges);
+    std::vector<Edge> want;
+    for (const Edge& e : all) {
+      if (alive.ContainsBoth(e.u, e.v)) want.push_back(e);
+    }
+    for (size_t threads : {1u, 4u}) {
+      const std::string label =
+          std::string(stream == &csr_stream ? "csr" : "edge-list") +
+          " threads=" + std::to_string(threads);
+      PassEngine engine(PassEngineOptions{.num_threads = threads});
+      RecordingRun a(alive), b(alive);
+      FusedRun* runs[] = {&a, &b};
+      ASSERT_TRUE(engine.Drive(*stream, runs, nullptr).ok()) << label;
+      EXPECT_EQ(a.seen, want) << label;
+      EXPECT_EQ(b.seen, want) << label;
+      EXPECT_EQ(engine.last_physical_passes(), 1u) << label;
+      EXPECT_EQ(engine.last_logical_passes(), 2u) << label;
+      EXPECT_EQ(engine.last_edges_scanned(), all.size()) << label;
+    }
+  }
+}
+
+TEST(PassEngineTest, CompactedRunsMatchStreamingRuns) {
+  // Algorithm 1's collect pass and in-memory buffer passes (§6.3) must
+  // keep exactly the surviving edges: with exact (unit or dyadic) sums a
+  // compacting run matches the same run without compaction on both fills,
+  // saving stream passes, at every thread count.
+  const NodeId n = 2000;
+  const EdgeList dyadic = LoopyEdges(n, 40000, 631, /*dyadic=*/true);
+  const EdgeList unit = ErdosRenyiGnm(n, 40000, 632);
+  const UndirectedGraph g = UndirectedGraph::FromEdgeList(dyadic);
+  EdgeListStream dyadic_stream(dyadic);
+  EdgeListStream unit_stream(unit);
+  UndirectedGraphStream csr_stream(g);
+  for (EdgeStream* stream :
+       {static_cast<EdgeStream*>(&dyadic_stream),
+        static_cast<EdgeStream*>(&unit_stream),
+        static_cast<EdgeStream*>(&csr_stream)}) {
+    Algorithm1Options plain;
+    plain.epsilon = 0.1;
+    auto want = RunAlgorithm1(*stream, plain);
+    ASSERT_TRUE(want.ok());
+    Algorithm1Options compact = plain;
+    compact.compact_below_edges = 20000;
+    for (size_t threads : {1u, 2u, 4u}) {
+      const std::string label = "threads=" + std::to_string(threads);
+      PassEngine engine(PassEngineOptions{.num_threads = threads});
+      compact.engine = &engine;
+      auto got = RunAlgorithm1(*stream, compact);
+      ASSERT_TRUE(got.ok()) << label;
+      EXPECT_LT(got->io_passes, got->passes) << label;
+      EXPECT_EQ(got->passes, want->passes) << label;
+      EXPECT_EQ(got->density, want->density) << label;
+      EXPECT_EQ(got->nodes, want->nodes) << label;
+      ASSERT_EQ(got->trace.size(), want->trace.size()) << label;
+      for (size_t i = 0; i < got->trace.size(); ++i) {
+        EXPECT_EQ(got->trace[i].edges, want->trace[i].edges) << label;
+        EXPECT_EQ(got->trace[i].weight, want->trace[i].weight) << label;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// Unit tests for the shared per-pass accumulators (core/peel_state) and
-// weighted directed peeling.
+// Unit tests for single passes on the default engine
+// (DefaultPassEngine().RunUndirected / RunDirected) and weighted directed
+// peeling.
 
-#include "core/peel_state.h"
+#include "core/pass_engine.h"
 
 #include <gtest/gtest.h>
 
@@ -24,7 +25,8 @@ TEST(PeelStateTest, UndirectedPassCountsOnlyAliveEdges) {
   alive.Remove(3);
   std::vector<double> degrees(4, 99.0);  // must be overwritten
 
-  UndirectedPassResult r = RunUndirectedPass(stream, alive, degrees);
+  UndirectedPassResult r =
+      DefaultPassEngine().RunUndirected(stream, alive, degrees);
   EXPECT_EQ(r.edges, 2u);          // edge 2-3 excluded
   EXPECT_DOUBLE_EQ(r.weight, 3.0);
   EXPECT_DOUBLE_EQ(degrees[0], 2.0);
@@ -43,7 +45,8 @@ TEST(PeelStateTest, DirectedPassSplitsOutAndIn) {
   NodeSet s(4, true), t(4, true);
   t.Remove(2);  // arc 0->2 no longer counts
   std::vector<double> out_to_t(4), in_from_s(4);
-  DirectedPassResult r = RunDirectedPass(stream, s, t, out_to_t, in_from_s);
+  DirectedPassResult r =
+      DefaultPassEngine().RunDirected(stream, s, t, out_to_t, in_from_s);
   EXPECT_EQ(r.arcs, 2u);
   EXPECT_DOUBLE_EQ(out_to_t[0], 1.0);
   EXPECT_DOUBLE_EQ(out_to_t[3], 1.0);
@@ -58,8 +61,8 @@ TEST(PeelStateTest, RepeatedPassesAreIdempotent) {
   EdgeListStream stream(el);
   NodeSet alive(3, true);
   std::vector<double> degrees(3);
-  auto r1 = RunUndirectedPass(stream, alive, degrees);
-  auto r2 = RunUndirectedPass(stream, alive, degrees);
+  auto r1 = DefaultPassEngine().RunUndirected(stream, alive, degrees);
+  auto r2 = DefaultPassEngine().RunUndirected(stream, alive, degrees);
   EXPECT_EQ(r1.edges, r2.edges);
   EXPECT_DOUBLE_EQ(r1.weight, r2.weight);
   EXPECT_DOUBLE_EQ(degrees[1], 2.0);  // not double-counted
