@@ -11,17 +11,19 @@
 #ifndef DENSEST_COMMON_RETRY_H_
 #define DENSEST_COMMON_RETRY_H_
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <thread>
 
+#include "common/failpoint.h"
 #include "common/random.h"
 
 namespace densest {
 
-/// \brief Knobs for the retry loops at the IO seams (binary stream
-/// prefetch, spill reads). `max_attempts` counts total tries, so 1 means
-/// "no retries".
+/// \brief Knobs for the retry loops at the IO seams (binary edge-stream
+/// prefetch, binary update-stream reads, spill reads and writes).
+/// `max_attempts` counts total tries, so 1 means "no retries".
 struct RetryPolicy {
   int max_attempts = 4;
   double base_delay_ms = 0.1;  // doubled per retry: 0.1, 0.2, 0.4, ...
@@ -105,11 +107,40 @@ struct IoRetryStats {
   }
 };
 
-/// Sleeps for the policy's backoff before retry number `retry` (0-based).
-inline void BackoffSleep(const RetryPolicy& policy, int retry) {
-  const auto us = static_cast<int64_t>(policy.DelayMs(retry) * 1000.0);
-  if (us > 0) std::this_thread::sleep_for(std::chrono::microseconds(us));
-}
+/// \brief One IO seam's retry tallies, written only by
+/// EvalFailpointWithRetry. Relaxed atomics: a seam may be read (stats())
+/// while its retry loop runs on another thread — the edge stream's
+/// prefetch task, concurrent spill readers — and each tally is an
+/// independent monotonic count with no ordering relation to the data, so
+/// a read that misses an in-flight increment attributes it to the next.
+class IoRetryCounters {
+ public:
+  IoRetryStats stats() const {
+    IoRetryStats s;
+    s.retries = retries_.load(std::memory_order_relaxed);
+    s.healed = healed_.load(std::memory_order_relaxed);
+    s.exhausted = exhausted_.load(std::memory_order_relaxed);
+    return s;
+  }
+
+ private:
+  friend FailpointAction EvalFailpointWithRetry(const char* name,
+                                                const RetryPolicy& policy,
+                                                IoRetryCounters& counters);
+  std::atomic<uint64_t> retries_{0};
+  std::atomic<uint64_t> healed_{0};
+  std::atomic<uint64_t> exhausted_{0};
+};
+
+/// Evaluates failpoint `name` (the device model of an IO seam), retrying
+/// transient (kUnavailable) fires with `policy`'s backoff. Returns the
+/// terminal action: kNone, kIOError or kShortRead, or kUnavailable once
+/// the retry budget ran out. The one place that counts retries: into
+/// `counters` and the registry's io.retries / io.retries_healed /
+/// io.retries_exhausted.
+FailpointAction EvalFailpointWithRetry(const char* name,
+                                       const RetryPolicy& policy,
+                                       IoRetryCounters& counters);
 
 }  // namespace densest
 

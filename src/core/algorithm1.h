@@ -32,8 +32,11 @@ struct Algorithm1Options {
   /// magnitude in the first passes, so "the rest of the computation can be
   /// done in main memory". When > 0, once a pass sees at most this many
   /// surviving edges the algorithm buffers them and stops re-scanning the
-  /// input stream; all later passes run over the in-memory buffer. The
-  /// result is bit-identical to the uncompacted run — only IO changes.
+  /// input stream; all later passes run over the in-memory buffer. On
+  /// unit-weight streams the result is bit-identical to the uncompacted
+  /// run — only IO changes. On weighted streams the buffer is sharded
+  /// differently from the stream, so per-pass weight sums (the trace) may
+  /// differ in low bits; only the best density is kept equal.
   /// 0 disables compaction.
   EdgeId compact_below_edges = 0;
   /// Pass engine to execute streaming passes on. nullptr uses the shared

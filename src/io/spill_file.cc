@@ -8,7 +8,6 @@
 #include <filesystem>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
 
 namespace densest {
 
@@ -58,33 +57,10 @@ SpillFile::~SpillFile() {
   std::filesystem::remove(path_, ec);  // best effort
 }
 
-FailpointAction SpillFile::EvalFailpointWithRetry(const char* name) const {
-  int attempt = 0;
-  RetryBackoff backoff(retry_policy_);
-  for (;;) {
-    const FailpointAction fp = DENSEST_FAILPOINT(name);
-    if (fp != FailpointAction::kUnavailable) {
-      if (attempt > 0) {
-        healed_.fetch_add(1, std::memory_order_relaxed);
-        DENSEST_METRIC_COUNTER("io.retries_healed").Inc();
-      }
-      return fp;
-    }
-    if (attempt + 1 >= retry_policy_.max_attempts) {
-      exhausted_.fetch_add(1, std::memory_order_relaxed);
-      DENSEST_METRIC_COUNTER("io.retries_exhausted").Inc();
-      return FailpointAction::kUnavailable;
-    }
-    retries_.fetch_add(1, std::memory_order_relaxed);
-    DENSEST_METRIC_COUNTER("io.retries").Inc();
-    ++attempt;
-    backoff.Sleep();
-  }
-}
-
 StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
   if (offset >= bytes_written_) return size_t{0};
-  const FailpointAction fp = EvalFailpointWithRetry("spill.read_at");
+  const FailpointAction fp =
+      EvalFailpointWithRetry("spill.read_at", retry_policy_, retries_);
   if (fp == FailpointAction::kUnavailable) {
     return Status::Unavailable(
         "read failed after " + std::to_string(retry_policy_.max_attempts) +
@@ -124,7 +100,8 @@ StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
 Status SpillFile::Append(const void* data, size_t bytes) {
   if (!status_.ok()) return status_;
   if (bytes == 0) return Status::OK();
-  const FailpointAction fp = EvalFailpointWithRetry("spill.append");
+  const FailpointAction fp =
+      EvalFailpointWithRetry("spill.append", retry_policy_, retries_);
   if (fp == FailpointAction::kUnavailable) {
     status_ = Status::Unavailable(
         "write failed after " + std::to_string(retry_policy_.max_attempts) +
@@ -204,7 +181,9 @@ StatusOr<size_t> SpillFile::Reader::Read(void* buf, size_t cap) {
   const size_t want = static_cast<size_t>(
       std::min<uint64_t>(cap, remaining_));
   if (want == 0) return size_t{0};
-  const FailpointAction fp = owner_->EvalFailpointWithRetry("spill.read");
+  const SpillFile& owner = *owner_;
+  const FailpointAction fp =
+      EvalFailpointWithRetry("spill.read", owner.retry_policy_, owner.retries_);
   if (fp == FailpointAction::kUnavailable) {
     return Status::Unavailable("read failed after retries: spill file " +
                                path_);

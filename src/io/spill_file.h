@@ -15,7 +15,6 @@
 #ifndef DENSEST_IO_SPILL_FILE_H_
 #define DENSEST_IO_SPILL_FILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -66,15 +65,8 @@ class SpillFile {
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
 
   /// Accumulated retry-loop outcomes across Append/ReadAt/Reader::Read.
-  /// Counters are atomic: distinct partitions' merges may read their own
-  /// SpillFiles concurrently, and independent Readers may share one file.
-  IoRetryStats io_retry_stats() const {
-    IoRetryStats stats;
-    stats.retries = retries_.load(std::memory_order_relaxed);
-    stats.healed = healed_.load(std::memory_order_relaxed);
-    stats.exhausted = exhausted_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  /// Independent Readers may share one file and count concurrently.
+  IoRetryStats io_retry_stats() const { return retries_.stats(); }
 
   /// \brief Sequential cursor over one byte segment of the file.
   class Reader {
@@ -129,21 +121,13 @@ class SpillFile {
   SpillFile(FILE* file, std::string path)
       : file_(file), path_(std::move(path)) {}
 
-  /// Evaluates the named failpoint, retrying transient (kUnavailable)
-  /// fires under the file's policy. Returns the terminal action: kNone,
-  /// kIOError or kShortRead, or kUnavailable when the retry budget ran
-  /// out. Counts into the shared retry stats.
-  FailpointAction EvalFailpointWithRetry(const char* name) const;
-
   FILE* file_;
   FILE* read_file_ = nullptr;  // lazily opened by ReadAt
   std::string path_;
   uint64_t bytes_written_ = 0;
   Status status_;  // sticky write-side error
   RetryPolicy retry_policy_;
-  mutable std::atomic<uint64_t> retries_{0};
-  mutable std::atomic<uint64_t> healed_{0};
-  mutable std::atomic<uint64_t> exhausted_{0};
+  mutable IoRetryCounters retries_;  // Readers count through a const owner
 };
 
 }  // namespace densest

@@ -5,7 +5,6 @@
 #ifndef DENSEST_STREAM_FILE_STREAM_H_
 #define DENSEST_STREAM_FILE_STREAM_H_
 
-#include <atomic>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -81,18 +80,9 @@ class BinaryFileEdgeStream : public EdgeStream {
 
   /// Outcomes of the prefetch retry loop. Unlike back_len_, these may be
   /// read while a prefetch is in flight (Reset() issues one before
-  /// returning, and pass-boundary stats syncs read immediately after), so
-  /// the counters are relaxed atomics: each is an independent monotonic
-  /// tally with no ordering relationship to the buffered data, and a read
-  /// that misses an in-flight increment just attributes it to the next
-  /// sync. SpillFile uses the same contract.
-  IoRetryStats io_retry_stats() const override {
-    IoRetryStats stats;
-    stats.retries = retries_.load(std::memory_order_relaxed);
-    stats.healed = healed_.load(std::memory_order_relaxed);
-    stats.exhausted = retry_exhausted_.load(std::memory_order_relaxed);
-    return stats;
-  }
+  /// returning, and pass-boundary stats syncs read immediately after);
+  /// see IoRetryCounters for why that is safe.
+  IoRetryStats io_retry_stats() const override { return retries_.stats(); }
 
  private:
   BinaryFileEdgeStream() = default;
@@ -138,11 +128,7 @@ class BinaryFileEdgeStream : public EdgeStream {
   bool back_unavailable_ = false;
   bool exhausted_ = false;
   RetryPolicy retry_policy_;
-  // Retry tallies, incremented by the prefetch task and read concurrently
-  // by io_retry_stats(); see that accessor for the ordering contract.
-  std::atomic<uint64_t> retries_{0};
-  std::atomic<uint64_t> healed_{0};
-  std::atomic<uint64_t> retry_exhausted_{0};
+  IoRetryCounters retries_;  // written by the prefetch task
   std::unique_ptr<ThreadPool> reader_;  // one background read thread
   std::future<void> prefetch_;
 };

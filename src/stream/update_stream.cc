@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "common/failpoint.h"
-#include "obs/metrics.h"
 
 namespace densest {
 
@@ -126,29 +125,14 @@ size_t BinaryFileUpdateStream::NextBatch(EdgeUpdate* buf, size_t cap) {
     exhausted_ = true;
     return 0;
   }
-  FailpointAction fp;
-  int attempt = 0;
-  RetryBackoff backoff(retry_policy_);
-  for (;;) {
-    fp = DENSEST_FAILPOINT("update_stream.read");
-    if (fp != FailpointAction::kUnavailable) break;
-    if (attempt + 1 >= retry_policy_.max_attempts) {
-      ++retry_stats_.exhausted;
-      DENSEST_METRIC_COUNTER("io.retries_exhausted").Inc();
-      exhausted_ = true;
-      status_ = Status::Unavailable(
-          "read failed after " + std::to_string(retry_policy_.max_attempts) +
-          " attempts: " + path_);
-      return 0;
-    }
-    ++retry_stats_.retries;
-    DENSEST_METRIC_COUNTER("io.retries").Inc();
-    ++attempt;
-    backoff.Sleep();
-  }
-  if (attempt > 0) {
-    ++retry_stats_.healed;
-    DENSEST_METRIC_COUNTER("io.retries_healed").Inc();
+  const FailpointAction fp =
+      EvalFailpointWithRetry("update_stream.read", retry_policy_, retries_);
+  if (fp == FailpointAction::kUnavailable) {
+    exhausted_ = true;
+    status_ = Status::Unavailable(
+        "read failed after " + std::to_string(retry_policy_.max_attempts) +
+        " attempts: " + path_);
+    return 0;
   }
   if (fp == FailpointAction::kIOError) {
     exhausted_ = true;

@@ -167,7 +167,7 @@ class BinaryFileUpdateStream : public UpdateStream {
 
   /// Retry knobs for transient (kUnavailable) faults in NextBatch.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
-  IoRetryStats io_retry_stats() const override { return retry_stats_; }
+  IoRetryStats io_retry_stats() const override { return retries_.stats(); }
 
  private:
   BinaryFileUpdateStream() = default;
@@ -179,7 +179,7 @@ class BinaryFileUpdateStream : public UpdateStream {
   bool exhausted_ = false;
   Status status_;  // sticky; see status()
   RetryPolicy retry_policy_;
-  IoRetryStats retry_stats_;
+  IoRetryCounters retries_;
 };
 
 /// \brief Generator: replays an EdgeStream as pure insertions — every edge

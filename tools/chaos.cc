@@ -1,15 +1,14 @@
 // chaos: standalone front end for the randomized chaos/soak harness
-// (dynamic/chaos.h). `chaos --smoke` is the fixed-seed CI gate; without
-// flags it runs the default 20 schedules from seed 1. Exits nonzero the
-// moment any schedule's surviving engine is not bit-identical to its
-// fault-free reference — the error names the seed that replays it.
+// (dynamic/chaos.h), the same command as `densest_cli chaos`. `chaos
+// --smoke` is the fixed-seed CI gate. Exits nonzero the moment any
+// schedule's surviving engine is not bit-identical to its fault-free
+// reference — the error names the seed that replays it.
 
 #include <cstdio>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "cli/args.h"
 #include "cli/commands.h"
 
 int main(int argc, char** argv) {
@@ -17,39 +16,11 @@ int main(int argc, char** argv) {
   std::vector<std::string> tokens(argv + 1, argv + argc);
   for (const std::string& t : tokens) {
     if (t == "help" || t == "--help" || t == "-h") {
-      std::fputs(
-          "chaos — randomized chaos/soak harness for the dynamic service\n"
-          "\n"
-          "usage: chaos [--smoke] [--schedules=20] [--seed=1] [--verbose]\n"
-          "             [--nodes=70 --edges=1200 --window=150 --eps=0.6]\n"
-          "             [--checkpoint-every=300 --snapshot-every=100]\n"
-          "             [--max-faults=6] [--batch-size=64] [--scratch=DIR]\n"
-          "             [--stats-every=N] [--metrics-out=PATH]\n"
-          "             [--trace-out=PATH]\n"
-          "\n"
-          "Replays seeded sliding-window workloads under random fault\n"
-          "injection (process crashes, dead disks, torn update files,\n"
-          "failed snapshot writes/reads) with kill/snapshot-resume cycles,\n"
-          "and fails unless every surviving engine is bit-identical to a\n"
-          "fault-free reference run and passes all structural invariant\n"
-          "audits. --smoke pins the seed for the CI gate. A failure prints\n"
-          "the --seed that deterministically replays the bad schedule.\n"
-          "--metrics-out / --trace-out write the metrics exposition and the\n"
-          "chrome://tracing timeline on exit; --stats-every=N prints a\n"
-          "metrics summary every N schedules.\n",
-          stdout);
+      std::fputs(CommandUsage("chaos").c_str(), stdout);
       return 0;
     }
   }
-  StatusOr<Args> args = Args::Parse(tokens);
-  if (!args.ok()) {
-    std::fprintf(stderr, "error: %s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  // Through the shared dispatcher (not CmdChaos directly) so the global
-  // flags — --failpoint, --metrics-out, --trace-out — and the
-  // unknown-flag check behave exactly like `densest_cli chaos`.
-  Status status = RunCliCommand("chaos", *args, std::cout);
+  Status status = RunCliCommand("chaos", tokens, std::cout);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return status.code() == Status::Code::kInvalidArgument ? 2 : 1;

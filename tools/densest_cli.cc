@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "cli/args.h"
 #include "cli/commands.h"
 
 int main(int argc, char** argv) {
@@ -20,13 +19,8 @@ int main(int argc, char** argv) {
     std::fputs(CliUsage().c_str(), stdout);
     return 0;
   }
-  std::vector<std::string> tokens(argv + 2, argv + argc);
-  StatusOr<Args> args = Args::Parse(tokens);
-  if (!args.ok()) {
-    std::fprintf(stderr, "error: %s\n", args.status().ToString().c_str());
-    return 2;
-  }
-  Status status = RunCliCommand(command, *args, std::cout);
+  Status status = RunCliCommand(
+      command, std::vector<std::string>(argv + 2, argv + argc), std::cout);
   if (!status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;

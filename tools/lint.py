@@ -31,6 +31,11 @@ check — the conventions the correctness story leans on:
                        virtual methods must say `override` — a stream that
                        silently stops overriding status() reverts to the
                        infallible default and swallows IO errors.
+  flag-table           CLI flags are declared only in the command table
+                       (src/cli/command_table.cc): no GetInt/GetDouble/
+                       GetBool/GetString("name") reads in src/ or tools/,
+                       and every args.Int/Double/Bool/String("name") read
+                       in src/cli/ names a flag the table declares.
 
 Usage:
   tools/lint.py [--root DIR]     lint the tree (exit 1 on any violation)
@@ -441,6 +446,45 @@ class Linter:
                         "`override`",
                     )
 
+    # ---------------------------------------------------------- flag table --
+
+    FLAG_TABLE = "src/cli/command_table.cc"
+    FLAG_GET_RE = re.compile(r'\bGet(?:Int|Double|Bool|String)\s*\(\s*"([^"]*)"')
+    FLAG_DECL_RE = re.compile(
+        r'\b(?:Bool|Int|Double|String|Enum)Flag\s*\(\s*"([^"]+)"')
+    FLAG_READ_RE = re.compile(
+        r'\bargs(?:\.|->)(?:Int|Double|Bool|String)\s*\(\s*"([^"]+)"')
+
+    def check_flag_table(self):
+        check = "flag-table"
+        table = os.path.join(self.root, self.FLAG_TABLE)
+        declared: set[str] = set()
+        if os.path.exists(table):
+            declared = set(self.FLAG_DECL_RE.findall(
+                strip_comments(open(table).read(), keep_strings=True)))
+        cli_dir = os.path.join(self.root, "src", "cli") + os.sep
+        for path in source_files(self.root, subdirs=("src", "tools")):
+            if path == table:
+                continue
+            text = strip_comments(open(path).read(), keep_strings=True)
+            for i, line_text in enumerate(text.splitlines(), 1):
+                for m in self.FLAG_GET_RE.finditer(line_text):
+                    self.report(
+                        check, path, i,
+                        f"ad-hoc flag read Get*(\"{m.group(1)}\"): declare "
+                        f"the flag in {self.FLAG_TABLE} and read its typed "
+                        "value from Args",
+                    )
+                if not path.startswith(cli_dir):
+                    continue
+                for m in self.FLAG_READ_RE.finditer(line_text):
+                    if m.group(1) not in declared:
+                        self.report(
+                            check, path, i,
+                            f"flag --{m.group(1)} is read but not declared in "
+                            f"{self.FLAG_TABLE}",
+                        )
+
     # ----------------------------------------------------------------- run --
 
     def run(self) -> int:
@@ -450,6 +494,7 @@ class Linter:
         self.check_naked_new()
         self.check_tools_includes()
         self.check_override()
+        self.check_flag_table()
         for v in self.violations:
             print(v)
         if self.violations:
@@ -620,7 +665,28 @@ def self_test(repo_root: str) -> int:
         lint.check_override()
         expect("override", lint.violations, "'Reset' missing")
 
-    # 6. The real tree must be clean (the blocking-CI contract).
+    # 6. Ad-hoc flag reads outside the command table, and a typed read of
+    # a flag the table never declares.
+    with tempfile.TemporaryDirectory() as tmp:
+        make_tree(tmp)
+        os.makedirs(os.path.join(tmp, "src/cli"), exist_ok=True)
+        with open(os.path.join(tmp, Linter.FLAG_TABLE), "w") as f:
+            f.write('auto k = IntFlag("known", "1", "a declared flag");\n')
+        with open(os.path.join(tmp, "src/cli/commands.cc"), "w") as f:
+            f.write(
+                'auto a = args.GetInt("adhoc", 3);\n'
+                'auto b = args.Int("undeclared");\n'
+                'auto c = args.Int("known");\n'
+            )
+        lint = Linter(tmp)
+        lint.check_flag_table()
+        expect("flag-table-get", lint.violations, 'Get*("adhoc")')
+        expect("flag-table-undeclared", lint.violations, "--undeclared")
+        if any("--known" in v for v in lint.violations):
+            failures.append(
+                f"self-test: declared flag wrongly flagged: {lint.violations}")
+
+    # 7. The real tree must be clean (the blocking-CI contract).
     real = Linter(repo_root)
     real.check_failpoints()
     real.check_metrics()
@@ -628,6 +694,7 @@ def self_test(repo_root: str) -> int:
     real.check_naked_new()
     real.check_tools_includes()
     real.check_override()
+    real.check_flag_table()
     for v in real.violations:
         failures.append(f"self-test: real tree not clean: {v}")
 
