@@ -63,6 +63,9 @@ class BodyReader {
 
   bool GetRaw(void* dst, size_t bytes) {
     if (size_ - pos_ < bytes) return false;
+    // An empty section's dst is an empty vector's data(), which may be
+    // null: memcpy must not see it even for zero bytes.
+    if (bytes == 0) return true;
     std::memcpy(dst, data_ + pos_, bytes);
     pos_ += bytes;
     return true;

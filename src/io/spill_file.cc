@@ -1,7 +1,9 @@
 #include "io/spill_file.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
@@ -52,9 +54,24 @@ StatusOr<std::unique_ptr<SpillFile>> SpillFile::CreateAt(std::string path) {
 
 SpillFile::~SpillFile() {
   if (file_ != nullptr) std::fclose(file_);
-  if (read_file_ != nullptr) std::fclose(read_file_);
+  if (const int fd = read_fd_.load(); fd >= 0) ::close(fd);
   std::error_code ec;
   std::filesystem::remove(path_, ec);  // best effort
+}
+
+int SpillFile::ReadFd() {
+  int fd = read_fd_.load(std::memory_order_acquire);
+  if (fd >= 0) return fd;
+  const int opened = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (opened < 0) return -1;
+  // Two first readers may race to open: the loser closes its descriptor and
+  // reads through the winner's.
+  if (read_fd_.compare_exchange_strong(fd, opened,
+                                       std::memory_order_acq_rel)) {
+    return opened;
+  }
+  ::close(opened);
+  return fd;
 }
 
 StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
@@ -69,26 +86,28 @@ StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
   if (fp == FailpointAction::kIOError) {
     return Status::IOError("read error (injected) on spill file " + path_);
   }
-  if (read_file_ == nullptr) {
-    read_file_ = std::fopen(path_.c_str(), "rb");
-    if (read_file_ == nullptr) {
-      return Status::IOError("cannot reopen spill file " + path_ + ": " +
-                             ErrnoMessage());
-    }
-  }
-  if (std::fseek(read_file_, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::IOError("cannot seek spill file " + path_ + ": " +
+  const int fd = ReadFd();
+  if (fd < 0) {
+    return Status::IOError("cannot reopen spill file " + path_ + ": " +
                            ErrnoMessage());
   }
   const size_t want = static_cast<size_t>(
       std::min<uint64_t>(cap, bytes_written_ - offset));
-  size_t got = std::fread(buf, 1, want, read_file_);
-  if (fp == FailpointAction::kShortRead) got /= 2;  // torn positioned read
-  if (got != want) {
-    if (std::ferror(read_file_)) {
+  char* out = static_cast<char*>(buf);
+  size_t got = 0;
+  while (got < want) {
+    const ssize_t n = ::pread(fd, out + got, want - got,
+                              static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
       return Status::IOError("read error on spill file " + path_ + ": " +
                              ErrnoMessage());
     }
+    if (n == 0) break;  // end of file before `want`: truncated, below
+    got += static_cast<size_t>(n);
+  }
+  if (fp == FailpointAction::kShortRead) got /= 2;  // torn positioned read
+  if (got != want) {
     return Status::IOError("truncated spill file " + path_ + ": expected " +
                            std::to_string(want) + " bytes at offset " +
                            std::to_string(offset) + ", got " +
@@ -127,85 +146,6 @@ Status SpillFile::Flush() {
                               ErrnoMessage());
   }
   return status_;
-}
-
-StatusOr<SpillFile::Reader> SpillFile::OpenReader(uint64_t offset,
-                                                  uint64_t length) const {
-  if (offset + length > bytes_written_) {
-    return Status::InvalidArgument(
-        "spill segment [" + std::to_string(offset) + ", " +
-        std::to_string(offset + length) + ") beyond written size " +
-        std::to_string(bytes_written_));
-  }
-  FILE* file = std::fopen(path_.c_str(), "rb");
-  if (file == nullptr) {
-    return Status::IOError("cannot reopen spill file " + path_ + ": " +
-                           ErrnoMessage());
-  }
-  if (std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0) {
-    const std::string msg = ErrnoMessage();
-    std::fclose(file);
-    return Status::IOError("cannot seek spill file " + path_ + ": " + msg);
-  }
-  return Reader(this, file, length, path_);
-}
-
-SpillFile::Reader::Reader(Reader&& other) noexcept
-    : owner_(other.owner_),
-      file_(other.file_),
-      remaining_(other.remaining_),
-      path_(std::move(other.path_)) {
-  other.file_ = nullptr;
-  other.remaining_ = 0;
-}
-
-SpillFile::Reader& SpillFile::Reader::operator=(Reader&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    owner_ = other.owner_;
-    file_ = other.file_;
-    remaining_ = other.remaining_;
-    path_ = std::move(other.path_);
-    other.file_ = nullptr;
-    other.remaining_ = 0;
-  }
-  return *this;
-}
-
-SpillFile::Reader::~Reader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-StatusOr<size_t> SpillFile::Reader::Read(void* buf, size_t cap) {
-  if (remaining_ == 0) return size_t{0};
-  const size_t want = static_cast<size_t>(
-      std::min<uint64_t>(cap, remaining_));
-  if (want == 0) return size_t{0};
-  const SpillFile& owner = *owner_;
-  const FailpointAction fp =
-      EvalFailpointWithRetry("spill.read", owner.retry_policy_, owner.retries_);
-  if (fp == FailpointAction::kUnavailable) {
-    return Status::Unavailable("read failed after retries: spill file " +
-                               path_);
-  }
-  if (fp == FailpointAction::kIOError) {
-    return Status::IOError("read error (injected) on spill file " + path_);
-  }
-  size_t got = std::fread(buf, 1, want, file_);
-  if (fp == FailpointAction::kShortRead) got /= 2;  // torn sequential read
-  if (got != want) {
-    // The segment promised more bytes than the file delivered: either an
-    // IO error or somebody truncated the file. Both corrupt the partition.
-    if (std::ferror(file_)) {
-      return Status::IOError("read error on spill file " + path_ + ": " +
-                             ErrnoMessage());
-    }
-    return Status::IOError("truncated spill file " + path_ + ": expected " +
-                           std::to_string(want) + " more bytes, got " +
-                           std::to_string(got));
-  }
-  remaining_ -= got;
-  return got;
 }
 
 }  // namespace densest

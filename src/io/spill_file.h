@@ -15,6 +15,7 @@
 #ifndef DENSEST_IO_SPILL_FILE_H_
 #define DENSEST_IO_SPILL_FILE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -28,9 +29,8 @@ namespace densest {
 
 /// \brief One append-only temp file of spilled bytes, deleted when the
 /// object dies. Writes happen single-threaded (the shuffle appends runs in
-/// chunk order). The shuffle's merge reads all of a file's runs through
-/// the one shared positioned-read handle (ReadAt). OpenReader gives an
-/// independent sequential cursor with its own FILE handle over one segment.
+/// chunk order). The shuffle's merge reads all of a file's runs back
+/// through ReadAt, positioned reads on one read-only descriptor.
 class SpillFile {
  public:
   /// Creates a uniquely-named spill file in `dir` ("" uses the system temp
@@ -51,8 +51,8 @@ class SpillFile {
   /// full); the error is sticky and every later Append fails too.
   Status Append(const void* data, size_t bytes);
 
-  /// Flushes buffered writes to the OS so Readers (which reopen the path)
-  /// observe everything appended so far.
+  /// Flushes buffered writes to the OS so ReadAt (a separate descriptor)
+  /// observes everything appended so far.
   Status Flush();
 
   /// Total bytes successfully appended.
@@ -64,70 +64,33 @@ class SpillFile {
   /// and write seams.
   void set_retry_policy(const RetryPolicy& policy) { retry_policy_ = policy; }
 
-  /// Accumulated retry-loop outcomes across Append/ReadAt/Reader::Read.
-  /// Independent Readers may share one file and count concurrently.
+  /// Accumulated retry-loop outcomes across Append and ReadAt.
   IoRetryStats io_retry_stats() const { return retries_.stats(); }
 
-  /// \brief Sequential cursor over one byte segment of the file.
-  class Reader {
-   public:
-    Reader(Reader&& other) noexcept;
-    Reader& operator=(Reader&& other) noexcept;
-    Reader(const Reader&) = delete;
-    Reader& operator=(const Reader&) = delete;
-    ~Reader();
-
-    /// Reads up to min(cap, remaining()) bytes into `buf` and returns how
-    /// many were read. 0 exactly when the segment is exhausted. A short
-    /// read before that — the file was truncated or the disk failed — is
-    /// an IOError, not an end-of-data.
-    StatusOr<size_t> Read(void* buf, size_t cap);
-
-    /// Bytes of the segment not yet delivered.
-    uint64_t remaining() const { return remaining_; }
-
-   private:
-    friend class SpillFile;
-    Reader(const SpillFile* owner, FILE* file, uint64_t remaining,
-           std::string path)
-        : owner_(owner),
-          file_(file),
-          remaining_(remaining),
-          path_(std::move(path)) {}
-
-    const SpillFile* owner_;  // retry policy + shared retry counters
-    FILE* file_;
-    uint64_t remaining_;
-    std::string path_;  // for error messages
-  };
-
-  /// Opens an independent reader over bytes [offset, offset + length).
-  /// Requires offset + length <= bytes_written(). The SpillFile must
-  /// outlive the reader (destruction unlinks the path).
-  StatusOr<Reader> OpenReader(uint64_t offset, uint64_t length) const;
-
-  /// Positioned read through one lazily-opened handle shared by all
-  /// callers of this file — the merge phase reads its many sorted runs
-  /// through this, so open fds stay at one per partition no matter how
-  /// many runs spilled (independent Readers would exhaust the fd limit on
-  /// exactly the out-of-core workloads the spill path targets). Reads up
-  /// to min(cap, bytes_written() - offset) bytes; a short read before
-  /// that is an IOError (truncation), mirroring Reader::Read. NOT
-  /// thread-safe: one partition's merge — this file's only ReadAt caller
-  /// — runs single-threaded.
+  /// Positioned read: a pread loop on one read-only descriptor, opened on
+  /// the first call and shared by all callers of this file. The merge
+  /// phase reads its many sorted runs through this, so open fds stay at
+  /// one per partition no matter how many runs spilled. Reads up to
+  /// min(cap, bytes_written() - offset) bytes; a short read before that is
+  /// an IOError ("truncated spill file"), never a silent end-of-data.
+  /// pread keeps no shared file offset, so concurrent ReadAt calls are
+  /// safe; none may overlap an Append.
   StatusOr<size_t> ReadAt(uint64_t offset, void* buf, size_t cap);
 
  private:
   SpillFile(FILE* file, std::string path)
       : file_(file), path_(std::move(path)) {}
 
+  /// The read-only descriptor, opened on first use; -1 on failure.
+  int ReadFd();
+
   FILE* file_;
-  FILE* read_file_ = nullptr;  // lazily opened by ReadAt
+  std::atomic<int> read_fd_{-1};  // lazily opened by ReadFd
   std::string path_;
   uint64_t bytes_written_ = 0;
   Status status_;  // sticky write-side error
   RetryPolicy retry_policy_;
-  mutable IoRetryCounters retries_;  // Readers count through a const owner
+  IoRetryCounters retries_;
 };
 
 }  // namespace densest

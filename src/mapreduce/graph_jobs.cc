@@ -1,17 +1,34 @@
 #include "mapreduce/graph_jobs.h"
 
+#include <limits>
+#include <string>
+
 namespace densest {
 
 namespace {
 
-/// Sum-combiner/reducer of the degree-count jobs (associative and
-/// commutative, so it is safe on both sides of the shuffle).
-template <typename K>
-void SumCounts(const K& key, const std::vector<EdgeId>& partials,
-               Emitter<K, EdgeId>& emit) {
-  EdgeId total = 0;
-  for (EdgeId x : partials) total += x;
+/// Sum of counts: the combiner (T = PartialCount, one chunk's partial sum)
+/// and the reducer (T = EdgeId, the total) of the count jobs.
+template <typename T, typename K>
+void SumCounts(const K& key, const std::vector<PartialCount>& partials,
+               Emitter<K, T>& emit) {
+  T total = 0;
+  for (PartialCount x : partials) total += x;
   emit.Emit(key, total);
+}
+
+/// A chunk's partial count of one key is at most 2 * map_chunk_records
+/// (a self-loop emits its node twice); refuses chunks whose partials could
+/// overflow PartialCount.
+Status CheckPartialCountWidth(const JobOptions& options) {
+  constexpr uint64_t kMaxPartial = std::numeric_limits<PartialCount>::max();
+  if (options.map_chunk_records > kMaxPartial / 2) {
+    return Status::InvalidArgument(
+        "map_chunk_records " + std::to_string(options.map_chunk_records) +
+        " too large for 32-bit partial counts (at most " +
+        std::to_string(kMaxPartial / 2) + ")");
+  }
+  return Status::OK();
 }
 
 /// Shared reducer of the removal passes: a key whose values contain the $
@@ -75,15 +92,17 @@ std::vector<KV<NodeId, EdgeId>> MrDegreeJob(MapReduceEnv& env,
 StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJobCombined(
     MapReduceEnv& env, MrEdgeSource& edges, const JobOptions& options,
     JobStats* stats) {
+  if (Status s = CheckPartialCountWidth(options); !s.ok()) return s;
   JobOptions opts = options;
   opts.map_fanout_hint = 2.0;  // two partial counts per edge
-  return RunJobOnSource<NodeId, EdgeId, NodeId, EdgeId>(
+  return RunJobOnSource<NodeId, PartialCount, NodeId, EdgeId>(
       env, edges, opts,
-      [](const NodeId& u, const NodeId& v, Emitter<NodeId, EdgeId>& emit) {
+      [](const NodeId& u, const NodeId& v,
+         Emitter<NodeId, PartialCount>& emit) {
         emit.Emit(u, 1);
         emit.Emit(v, 1);
       },
-      SumCounts<NodeId>, SumCounts<NodeId>, stats);
+      SumCounts<PartialCount, NodeId>, SumCounts<EdgeId, NodeId>, stats);
 }
 
 std::vector<KV<NodeId, EdgeId>> MrDegreeJobCombined(MapReduceEnv& env,
@@ -112,26 +131,28 @@ std::vector<KV<uint64_t, EdgeId>> MrDirectedDegreeJob(MapReduceEnv& env,
 StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJobCombined(
     MapReduceEnv& env, MrEdgeSource& arcs, const JobOptions& options,
     JobStats* stats) {
+  if (Status s = CheckPartialCountWidth(options); !s.ok()) return s;
   JobOptions opts = options;
   opts.map_fanout_hint = 2.0;
-  return RunJobOnSource<uint64_t, EdgeId, uint64_t, EdgeId>(
+  return RunJobOnSource<uint64_t, PartialCount, uint64_t, EdgeId>(
       env, arcs, opts,
-      [](const NodeId& u, const NodeId& v, Emitter<uint64_t, EdgeId>& emit) {
+      [](const NodeId& u, const NodeId& v,
+         Emitter<uint64_t, PartialCount>& emit) {
         emit.Emit(2 * static_cast<uint64_t>(u), 1);      // out-degree slot
         emit.Emit(2 * static_cast<uint64_t>(v) + 1, 1);  // in-degree slot
       },
-      SumCounts<uint64_t>, SumCounts<uint64_t>, stats);
+      SumCounts<PartialCount, uint64_t>, SumCounts<EdgeId, uint64_t>, stats);
 }
 
 StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env, MrEdgeSource& edges,
                                  const JobOptions& options, JobStats* stats) {
+  if (Status s = CheckPartialCountWidth(options); !s.ok()) return s;
   StatusOr<std::vector<KV<NodeId, EdgeId>>> totals =
-      RunJobOnSource<NodeId, EdgeId, NodeId, EdgeId>(
+      RunJobOnSource<NodeId, PartialCount, NodeId, EdgeId>(
           env, edges, options,
-          [](const NodeId&, const NodeId&, Emitter<NodeId, EdgeId>& emit) {
-            emit.Emit(0, 1);
-          },
-          SumCounts<NodeId>, SumCounts<NodeId>, stats);
+          [](const NodeId&, const NodeId&,
+             Emitter<NodeId, PartialCount>& emit) { emit.Emit(0, 1); },
+          SumCounts<PartialCount, NodeId>, SumCounts<EdgeId, NodeId>, stats);
   if (!totals.ok()) return totals.status();
   return totals->empty() ? EdgeId{0} : totals->front().value;
 }

@@ -29,6 +29,15 @@ using MrEdges = std::vector<KV<NodeId, NodeId>>;
 /// EdgeStream, or a VectorRecordSource over MrEdges).
 using MrEdgeSource = RecordSource<NodeId, NodeId>;
 
+/// The shuffle value type of the count jobs (MrDegreeJobCombined,
+/// MrDirectedDegreeJobCombined, MrCountEdgesJob): one map chunk's combined
+/// count of a key. It is at most 2 * map_chunk_records, so 32 bits hold it,
+/// and a record with a NodeId key is 8 bytes instead of the 16 of a padded
+/// (NodeId, EdgeId) pair. The reducers sum the partials into EdgeId, so the
+/// jobs' output types and values do not depend on it. The jobs return
+/// InvalidArgument when 2 * map_chunk_records exceeds UINT32_MAX.
+using PartialCount = uint32_t;
+
 /// Converts an in-memory edge vector into the MR representation.
 MrEdges ToMrEdges(const std::vector<Edge>& edges);
 

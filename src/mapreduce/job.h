@@ -11,11 +11,15 @@
 // out-of-core inputs as the streaming engines. The shuffle spills sorted
 // runs to temp files under a byte budget (mapreduce/shuffle.h), so its
 // resident memory follows the budget instead of |E|. The budget is a spill
-// threshold, not a cap: resident shuffle memory is the partitions' shares
-// of it, plus one map round's output (held until appended, and able to push
-// a partition past its share, because the spill check runs after each
-// appended chunk), plus at reduce time a merge refill buffer of at least 64
-// records per run.
+// threshold, not a cap. During the map phase, resident shuffle memory is
+// the partitions' shares of it plus one map round's output (held until
+// appended, and able to push a partition past its share, because the spill
+// check runs after each appended chunk). At reduce time it is the
+// partitions' unspilled tails plus merge buffers of at most one budget in
+// total: the merges in flight (one per reduce thread) split the budget
+// between them, and each splits its share over its runs. Only the floor of
+// 64 records per run can push the buffers past the budget, on a budget far
+// smaller than 64 records per run.
 //
 // Determinism: map chunks have a fixed record count (independent of the
 // thread count), their outputs are merged into the shuffle in chunk order,
@@ -254,7 +258,7 @@ StatusOr<std::vector<KV<K3, V3>>> RunJobOnSource(
   JobStats stats;
   const size_t threads = env.pool().num_threads();
   const size_t num_partitions = std::max<size_t>(1, options.num_partitions);
-  ShuffleWriter<K2, V2> shuffle(num_partitions, options);
+  ShuffleWriter<K2, V2> shuffle(num_partitions, options, threads);
   // The source's size hint times the map fanout bounds what reaches the
   // shuffle (combining only shrinks it); pre-size the partition buffers.
   shuffle.ReserveForInput(static_cast<uint64_t>(

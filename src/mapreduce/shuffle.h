@@ -72,7 +72,11 @@ inline constexpr int kRadixDigitBits = 11;
 /// Records with equal keys keep their input order, so the result is exactly
 /// that of a stable comparison sort by key. Digits start at the lowest bit on
 /// which two keys differ and skip every window of bits on which all keys
-/// agree, so the pass count follows the key spread, not the key width.
+/// agree, so the pass count follows the key spread, not the key width. The
+/// key scan that finds those bits also counts descents (a key below its
+/// predecessor); input with none is already sorted and comes back as `data`
+/// with `scratch` untouched — the shuffle sees such input whenever a spill
+/// or tail holds a single chunk's combined output.
 template <typename K, typename V>
 KV<K, V>* RadixSortByKey(KV<K, V>* data, KV<K, V>* scratch, size_t n) {
   static_assert(std::is_unsigned_v<K> && sizeof(K) <= sizeof(uint64_t),
@@ -86,12 +90,15 @@ KV<K, V>* RadixSortByKey(KV<K, V>* data, KV<K, V>* scratch, size_t n) {
     }
     return data;
   }
-  uint64_t any = 0;
-  uint64_t all = ~uint64_t{0};
-  for (size_t i = 0; i < n; ++i) {
+  uint64_t any = data[0].key;
+  uint64_t all = data[0].key;
+  size_t descents = 0;
+  for (size_t i = 1; i < n; ++i) {
     any |= data[i].key;
     all &= data[i].key;
+    descents += data[i].key < data[i - 1].key;
   }
+  if (descents == 0) return data;
   constexpr int kKeyBits = 8 * sizeof(K);
   constexpr int kMaxDigits = (kKeyBits + kRadixDigitBits - 1) / kRadixDigitBits;
   constexpr size_t kBuckets = size_t{1} << kRadixDigitBits;
@@ -194,9 +201,10 @@ class LoserTree {
 struct JobOptions {
   /// Total in-memory shuffle budget in bytes, shared evenly by the
   /// partitions; a partition whose buffer exceeds its share after an
-  /// appended chunk spills a sorted run to disk. A spill threshold, not a
-  /// hard cap on resident memory (see mapreduce/job.h). 0 = never spill
-  /// (whole shuffle stays resident).
+  /// appended chunk spills a sorted run to disk. At reduce time the same
+  /// bytes size the merges' refill buffers. A spill threshold, not a hard
+  /// cap on resident memory (see mapreduce/job.h). 0 = never spill (whole
+  /// shuffle stays resident).
   uint64_t spill_budget_bytes = 0;
   /// Directory for spill files ("" = the system temp directory).
   std::string spill_dir;
@@ -228,7 +236,7 @@ struct JobOptions {
 ///
 /// Append() must be called in chunk order from one thread (the engine owns
 /// that ordering); ReducePartition() calls for distinct partitions may run
-/// concurrently.
+/// concurrently, at most `reduce_threads` at a time.
 template <typename K, typename V>
 class ShuffleWriter {
   static_assert(std::is_trivially_copyable_v<K> &&
@@ -236,11 +244,17 @@ class ShuffleWriter {
                 "spillable shuffle records must be trivially copyable");
 
  public:
-  ShuffleWriter(size_t num_partitions, const JobOptions& options)
+  /// `reduce_threads` is how many ReducePartition calls run at once (the
+  /// reduce pool's width); the merges in flight split the budget between
+  /// them for their refill buffers.
+  ShuffleWriter(size_t num_partitions, const JobOptions& options,
+                size_t reduce_threads)
       : options_(options), partitions_(num_partitions) {
     if (options_.spill_budget_bytes > 0) {
       partition_budget_ = std::max<uint64_t>(
           1, options_.spill_budget_bytes / num_partitions);
+      merge_budget_ = options_.spill_budget_bytes /
+                      std::clamp<size_t>(reduce_threads, 1, num_partitions);
     }
   }
 
@@ -341,19 +355,22 @@ class ShuffleWriter {
   };
 
   /// \brief Buffered cursor over one sorted run (a spilled segment or the
-  /// in-memory tail). Spilled runs read through the file's shared
-  /// positioned-read handle (SpillFile::ReadAt) so a partition holds one
-  /// fd no matter how many runs it spilled.
+  /// in-memory tail). Spilled runs read through the file's positioned reads
+  /// (SpillFile::ReadAt) so a partition holds one fd no matter how many
+  /// runs it spilled.
   class RunCursor {
    public:
     /// Spilled run over file bytes [offset, offset + length), refilled in
-    /// refill_records batches. Empty until the first Refill().
+    /// batches of refill_records (fewer when the run is shorter). Empty
+    /// until the first Refill().
     RunCursor(SpillFile* file, uint64_t offset, uint64_t length,
               size_t refill_records, uint64_t* read_bytes)
         : file_(file),
           offset_(offset),
           remaining_(length),
-          refill_records_(std::max<size_t>(1, refill_records)),
+          refill_records_(static_cast<size_t>(std::max<uint64_t>(
+              1, std::min<uint64_t>(length / sizeof(KV<K, V>),
+                                    refill_records)))),
           read_bytes_(read_bytes) {}
     /// In-memory tail run (already sorted): zero-copy walk.
     explicit RunCursor(std::span<const KV<K, V>> tail)
@@ -380,10 +397,12 @@ class ShuffleWriter {
     /// with nothing left to read stays exhausted.
     Status Refill() {
       if (pos_ < end_ || remaining_ == 0) return Status::OK();
-      buf_.resize(refill_records_);
+      if (buf_ == nullptr) {
+        buf_ = std::make_unique_for_overwrite<KV<K, V>[]>(refill_records_);
+      }
       const size_t want = static_cast<size_t>(std::min<uint64_t>(
           refill_records_ * sizeof(KV<K, V>), remaining_));
-      StatusOr<size_t> got = file_->ReadAt(offset_, buf_.data(), want);
+      StatusOr<size_t> got = file_->ReadAt(offset_, buf_.get(), want);
       if (!got.ok()) return got.status();
       if (*got < want) {
         // ReadAt clamps to bytes_written, so a short result here means the
@@ -396,7 +415,7 @@ class ShuffleWriter {
       offset_ += *got;
       remaining_ -= *got;
       *read_bytes_ += *got;
-      data_ = buf_.data();
+      data_ = buf_.get();
       pos_ = 0;
       end_ = *got / sizeof(KV<K, V>);
       return Status::OK();
@@ -408,8 +427,8 @@ class ShuffleWriter {
     uint64_t remaining_ = 0;
     size_t refill_records_ = 0;
     uint64_t* read_bytes_ = nullptr;
-    std::vector<KV<K, V>> buf_;
-    const KV<K, V>* data_ = nullptr;  // buf_ or the tail
+    std::unique_ptr<KV<K, V>[]> buf_;  // refill_records_, on first Refill
+    const KV<K, V>* data_ = nullptr;   // buf_ or the tail
     size_t pos_ = 0;
     size_t end_ = 0;
   };
@@ -448,12 +467,16 @@ class ShuffleWriter {
     // whole partition.
     std::vector<RunCursor> runs;
     runs.reserve(part.run_records.size() + 1);
-    // Each cursor's refill buffer is its share of the budget, floored at
-    // 64 records: below that, per-refill reads dominate the merge. The
-    // floor can exceed a pathologically tiny budget (the forced-spill
-    // tests) — a bounded, documented overshoot, not a correctness issue.
+    // Refill buffers: the map phase is over, so the whole budget is free
+    // for the merges in flight (at most one per reduce thread, hence
+    // merge_budget_), and each merge splits its share over its runs plus
+    // the tail. Floored at 64 records: below that, per-refill reads
+    // dominate the merge. The floor can exceed a pathologically tiny budget
+    // (the forced-spill tests) — a bounded, documented overshoot, not a
+    // correctness issue. Refill size changes only the IO pattern, never
+    // the merge order.
     const size_t refill_records = std::max<size_t>(
-        64, partition_budget_ /
+        64, merge_budget_ /
                 ((part.run_records.size() + 1) * sizeof(KV<K, V>)));
     uint64_t offset = 0;
     for (uint64_t run_len : part.run_records) {
@@ -494,7 +517,8 @@ class ShuffleWriter {
   }
 
   JobOptions options_;
-  uint64_t partition_budget_ = 0;  // 0 = unlimited
+  uint64_t partition_budget_ = 0;  // spill threshold; 0 = unlimited
+  uint64_t merge_budget_ = 0;      // refill bytes per merge in flight
   std::vector<Partition> partitions_;
   uint64_t records_ = 0;
   uint64_t spill_bytes_written_ = 0;

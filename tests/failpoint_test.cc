@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -342,6 +343,60 @@ TEST_F(FailpointTest, SpillAppendUnavailableIsStickyAfterBudget) {
   // Sticky: the spill is damaged goods even after the fault clears.
   Failpoints::Instance().ClearAll();
   EXPECT_FALSE((*spill)->Append(buf, sizeof(buf)).ok());
+}
+
+/// A flushed spill file holding the uint64_t values [0, n).
+std::unique_ptr<SpillFile> IotaSpill(size_t n) {
+  auto spill = SpillFile::Create("");
+  EXPECT_TRUE(spill.ok()) << spill.status().ToString();
+  std::vector<uint64_t> data(n);
+  for (size_t i = 0; i < n; ++i) data[i] = i;
+  EXPECT_TRUE((*spill)->Append(data.data(), n * 8).ok());
+  EXPECT_TRUE((*spill)->Flush().ok());
+  return std::move(*spill);
+}
+
+TEST_F(FailpointTest, SpillReadAtShortReadIsTruncation) {
+  auto spill = IotaSpill(1000);
+  ASSERT_TRUE(
+      Failpoints::Instance().Set("spill.read_at", "times=1,kind=short").ok());
+  std::vector<uint64_t> buf(1000);
+  StatusOr<size_t> torn = spill->ReadAt(0, buf.data(), buf.size() * 8);
+  ASSERT_FALSE(torn.ok());
+  EXPECT_EQ(torn.status().code(), Status::Code::kIOError);
+  EXPECT_NE(torn.status().message().find("truncated"), std::string::npos);
+  // The fault fired once; the next read of the same bytes is whole.
+  StatusOr<size_t> whole = spill->ReadAt(0, buf.data(), buf.size() * 8);
+  ASSERT_TRUE(whole.ok());
+  EXPECT_EQ(*whole, 1000u * 8);
+  EXPECT_EQ(buf[999], 999u);
+}
+
+TEST_F(FailpointTest, SpillReadAtIOErrorFailsTheRead) {
+  auto spill = IotaSpill(10);
+  ASSERT_TRUE(Failpoints::Instance().Set("spill.read_at", "kind=io").ok());
+  uint64_t v = 0;
+  StatusOr<size_t> n = spill->ReadAt(0, &v, 8);
+  ASSERT_FALSE(n.ok());
+  EXPECT_EQ(n.status().code(), Status::Code::kIOError);
+  EXPECT_NE(n.status().message().find("injected"), std::string::npos);
+}
+
+TEST_F(FailpointTest, SpillReadAtTransientFaultHealsWithinBudget) {
+  auto spill = IotaSpill(10);
+  RetryPolicy policy;
+  policy.max_attempts = 4;
+  policy.base_delay_ms = 0.01;
+  spill->set_retry_policy(policy);
+  ASSERT_TRUE(Failpoints::Instance()
+                  .Set("spill.read_at", "times=2,kind=unavailable")
+                  .ok());
+  uint64_t v = 0;
+  StatusOr<size_t> n = spill->ReadAt(3 * 8, &v, 8);
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(v, 3u);
+  EXPECT_EQ(spill->io_retry_stats().retries, 2u);
+  EXPECT_EQ(spill->io_retry_stats().healed, 1u);
 }
 
 /// Runs the combined degree job with a 1-byte spill budget so the whole

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -286,6 +287,27 @@ TEST(MrCombinerTest, DegreeShuffleBoundedByAliveNodesPerChunk) {
   EXPECT_EQ(stats.combine_input_records, stats.map_output_records);
   EXPECT_LE(stats.combine_output_records, chunks * el.num_nodes());
   EXPECT_LT(stats.combine_output_records, stats.map_output_records);
+  // Partial counts cross the shuffle as 32-bit values: 8-byte records.
+  EXPECT_EQ(stats.shuffle_bytes, 8 * stats.combine_output_records);
+}
+
+TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
+  // A chunk's partial count of one key reaches 2 * map_chunk_records,
+  // which must fit the 32-bit shuffle value.
+  MrEdges edges = ToMrEdges(ErdosRenyiGnm(50, 200, 73).edges());
+  MapReduceEnv env({}, 1);
+  JobOptions opts;
+  opts.map_chunk_records =
+      size_t{std::numeric_limits<PartialCount>::max() / 2} + 1;
+  VectorRecordSource<NodeId, NodeId> source(edges);
+  EXPECT_EQ(MrDegreeJobCombined(env, source, opts).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(MrDirectedDegreeJobCombined(env, source, opts).status().code(),
+            Status::Code::kInvalidArgument);
+  EXPECT_EQ(MrCountEdgesJob(env, source, opts).status().code(),
+            Status::Code::kInvalidArgument);
+  // Nothing ran: the refusal comes before the map phase.
+  EXPECT_EQ(env.totals().map_input_records, 0u);
 }
 
 TEST(MrCombinerTest, DirectedDegreeCombinedMatchesPlain) {
@@ -388,7 +410,8 @@ TEST(SpillShuffleTest, ManyRunsWithDuplicateKeysMergeIdentically) {
     JobOptions opts;
     opts.spill_budget_bytes = budget;
     opts.num_partitions = 2;
-    ShuffleWriter<NodeId, NodeId> shuffle(opts.num_partitions, opts);
+    ShuffleWriter<NodeId, NodeId> shuffle(opts.num_partitions, opts,
+                                          /*reduce_threads=*/1);
     // Many tiny appends => many sorted runs per partition.
     for (size_t i = 0; i < records.size(); i += 100) {
       std::vector<KV<NodeId, NodeId>> chunk(
@@ -604,7 +627,7 @@ TYPED_TEST(ShuffleKernelTest, SpilledRunsMergeToTheStableGroups) {
     JobOptions opts;
     opts.num_partitions = 1;
     opts.spill_budget_bytes = kShareRecords * sizeof(Rec);
-    ShuffleWriter<K, uint32_t> shuffle(1, opts);
+    ShuffleWriter<K, uint32_t> shuffle(1, opts, /*reduce_threads=*/1);
     std::vector<Rec> all;
     size_t spilled = 0;
     for (auto& run : runs) {
@@ -634,6 +657,57 @@ TYPED_TEST(ShuffleKernelTest, SpilledRunsMergeToTheStableGroups) {
       EXPECT_LT(keys[i - 1], keys[i]) << what << ": one group per key";
     }
     EXPECT_EQ(shuffle.spill_bytes_read(), shuffle.spill_bytes_written());
+  }
+}
+
+// Sorts `input` with a sentinel-filled scratch buffer; returns the sorted
+// records and whether the sort skipped its passes (returned `data` and left
+// the scratch untouched).
+template <typename K>
+std::pair<std::vector<KV<K, uint32_t>>, bool> RadixSortedNoting(
+    std::vector<KV<K, uint32_t>> input) {
+  constexpr KV<K, uint32_t> kSentinel{K{0x5a}, 0xdeadbeef};
+  std::vector<KV<K, uint32_t>> scratch(input.size(), kSentinel);
+  const KV<K, uint32_t>* sorted =
+      RadixSortByKey(input.data(), scratch.data(), input.size());
+  const bool untouched = std::all_of(
+      scratch.begin(), scratch.end(), [&](const KV<K, uint32_t>& kv) {
+        return kv.key == kSentinel.key && kv.value == kSentinel.value;
+      });
+  return {{sorted, sorted + input.size()},
+          sorted == input.data() && untouched};
+}
+
+TYPED_TEST(ShuffleKernelTest, SkipsTheSortExactlyWhenTheInputHasNoDescents) {
+  using K = TypeParam;
+  auto node_ids = [](Rng& r) { return static_cast<K>(r.UniformU64(200000)); };
+  for (size_t n : {kRadixSortSmallN, size_t{5000}}) {
+    const auto random = IndexedRecords<K>(n, 8, node_ids);
+    const auto ascending = StableSortedByKey(random);
+    const auto all_equal =
+        IndexedRecords<K>(n, 9, [](Rng&) { return K{4242}; });
+    // Two sorted runs back to back: one descent at the seam.
+    auto one_descent = ascending;
+    std::rotate(one_descent.begin(), one_descent.begin() + n / 3,
+                one_descent.end());
+    auto reversed = ascending;
+    std::reverse(reversed.begin(), reversed.end());
+    const std::pair<const char*, const std::vector<KV<K, uint32_t>>*> cases[] =
+        {{"ascending", &ascending},
+         {"all equal", &all_equal},
+         {"one descent", &one_descent},
+         {"reversed", &reversed},
+         {"random", &random}};
+    for (const auto& [name, input] : cases) {
+      const std::string what = std::string(name) + " n=" + std::to_string(n);
+      size_t descents = 0;
+      for (size_t i = 1; i < n; ++i) {
+        descents += (*input)[i].key < (*input)[i - 1].key;
+      }
+      const auto [sorted, skipped] = RadixSortedNoting(*input);
+      ExpectSameRecords(sorted, StableSortedByKey(*input), what);
+      EXPECT_EQ(skipped, descents == 0) << what;
+    }
   }
 }
 
@@ -746,8 +820,13 @@ void ExpectEngineMatchesReferenceModel() {
   base.map_chunk_records = 700;  // 18 chunks, the last one short
   for (bool combine : {false, true}) {
     const auto want = ReferenceModel<K>(input, base, combine);
-    for (size_t threads : {1u, 4u}) {
-      for (uint64_t budget : {uint64_t{0}, uint64_t{1}, uint64_t{4096}}) {
+    // Budget 1 << 15 still spills (each partition's share is 2 KiB), but
+    // sizes the merges' refills above the 64-record floor (all but 16-byte
+    // records at 4 threads); at one thread a whole run fits one refill.
+    // Budgets 1 and 4096 sit on the floor.
+    for (size_t threads : {1u, 2u, 4u}) {
+      for (uint64_t budget :
+           {uint64_t{0}, uint64_t{1}, uint64_t{4096}, uint64_t{1} << 15}) {
         const std::string what = "combine=" + std::to_string(combine) +
                                  " threads=" + std::to_string(threads) +
                                  " budget=" + std::to_string(budget);
@@ -765,6 +844,8 @@ void ExpectEngineMatchesReferenceModel() {
         if (budget > 0) {
           EXPECT_GT(stats.spill_runs, 0u) << what;
         }
+        // The merge reads every spilled byte back, exactly once.
+        EXPECT_EQ(stats.spill_bytes_read, stats.spill_bytes_written) << what;
         ExpectSameRecords(*got, want, what);
       }
     }

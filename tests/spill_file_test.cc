@@ -1,6 +1,7 @@
-// Tests for the shuffle spill store: round trips, IO accounting, and the
-// truncation failure mode (a short read must be an IOError, never a silent
-// end-of-data — mirroring the edge streams' status() contract).
+// Tests for the shuffle spill store: round trips through positioned reads,
+// IO accounting, and the truncation failure mode (a short read must be an
+// IOError, never a silent end-of-data — mirroring the edge streams'
+// status() contract).
 
 #include "io/spill_file.h"
 
@@ -8,11 +9,25 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace densest {
 namespace {
+
+/// A spill file holding the uint64_t values [0, n), flushed for reading.
+std::unique_ptr<SpillFile> IotaSpill(const std::string& path, size_t n) {
+  auto spill = path.empty() ? SpillFile::Create("") : SpillFile::CreateAt(path);
+  EXPECT_TRUE(spill.ok()) << spill.status().ToString();
+  std::vector<uint64_t> data(n);
+  std::iota(data.begin(), data.end(), 0);
+  EXPECT_TRUE((*spill)->Append(data.data(), data.size() * 8).ok());
+  EXPECT_TRUE((*spill)->Flush().ok());
+  return std::move(*spill);
+}
 
 TEST(SpillFileTest, RoundTripsSegments) {
   auto spill = SpillFile::Create("");
@@ -27,98 +42,90 @@ TEST(SpillFileTest, RoundTripsSegments) {
   ASSERT_TRUE((*spill)->Flush().ok());
   EXPECT_EQ((*spill)->bytes_written(), 1500u * 8);
 
-  // Read the second run first: readers are independent cursors.
-  auto r2 = (*spill)->OpenReader(1000 * 8, 500 * 8);
-  ASSERT_TRUE(r2.ok());
+  // Read the second run first: positioned reads carry no cursor.
   std::vector<uint64_t> got(500);
-  auto n = r2->Read(got.data(), got.size() * 8);
+  auto n = (*spill)->ReadAt(1000 * 8, got.data(), got.size() * 8);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(*n, 500u * 8);
   EXPECT_EQ(got, run2);
-  EXPECT_EQ(r2->remaining(), 0u);
-  // Exhausted segment reads 0, not an error.
-  auto after = r2->Read(got.data(), 8);
-  ASSERT_TRUE(after.ok());
-  EXPECT_EQ(*after, 0u);
 
   // First run in two partial reads.
-  auto r1 = (*spill)->OpenReader(0, 1000 * 8);
-  ASSERT_TRUE(r1.ok());
   std::vector<uint64_t> head(600);
-  ASSERT_TRUE(r1->Read(head.data(), 600 * 8).ok());
+  ASSERT_TRUE((*spill)->ReadAt(0, head.data(), 600 * 8).ok());
   std::vector<uint64_t> tail(400);
-  ASSERT_TRUE(r1->Read(tail.data(), 400 * 8).ok());
+  ASSERT_TRUE((*spill)->ReadAt(600 * 8, tail.data(), 400 * 8).ok());
   head.insert(head.end(), tail.begin(), tail.end());
   EXPECT_EQ(head, run1);
 }
 
-TEST(SpillFileTest, ReaderBeyondWrittenSizeRejected) {
-  auto spill = SpillFile::Create("");
-  ASSERT_TRUE(spill.ok());
-  uint64_t x = 42;
-  ASSERT_TRUE((*spill)->Append(&x, 8).ok());
-  EXPECT_FALSE((*spill)->OpenReader(0, 16).ok());
-  EXPECT_FALSE((*spill)->OpenReader(16, 8).ok());
+TEST(SpillFileTest, ReadAtClampsToWrittenSize) {
+  auto spill = IotaSpill("", 2000);
+  std::vector<uint64_t> buf(100, 0);
+  // A read running past the end delivers exactly the bytes that exist.
+  auto clamped = spill->ReadAt(1990 * 8, buf.data(), buf.size() * 8);
+  ASSERT_TRUE(clamped.ok());
+  EXPECT_EQ(*clamped, 10u * 8);
+  EXPECT_EQ(buf[0], 1990u);
+  EXPECT_EQ(buf[9], 1999u);
+  // At or past the end: 0 bytes, not an error.
+  for (uint64_t offset : {uint64_t{2000 * 8}, uint64_t{5000 * 8}}) {
+    auto past = spill->ReadAt(offset, buf.data(), 8);
+    ASSERT_TRUE(past.ok());
+    EXPECT_EQ(*past, 0u);
+  }
+}
+
+TEST(SpillFileTest, ReadAtServesInterleavedSegmentsThroughOneHandle) {
+  auto spill = IotaSpill("", 2000);
+  // Interleave positioned reads the way the merge does across runs.
+  uint64_t a = 0, b = 0;
+  ASSERT_TRUE(spill->ReadAt(500 * 8, &a, 8).ok());
+  ASSERT_TRUE(spill->ReadAt(0, &b, 8).ok());
+  EXPECT_EQ(a, 500u);
+  EXPECT_EQ(b, 0u);
+}
+
+TEST(SpillFileTest, ConcurrentReadAtCallsSeeTheirOwnOffsets) {
+  // pread keeps no shared offset: readers racing on one file, including
+  // on the first (descriptor-opening) call, each get their own bytes.
+  auto spill = IotaSpill("", 4096);
+  std::vector<int> bad(4, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (uint64_t i = t; i < 4096; i += 4) {
+        uint64_t v = ~uint64_t{0};
+        auto n = spill->ReadAt(i * 8, &v, 8);
+        if (!n.ok() || *n != 8 || v != i) ++bad[t];
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(bad, std::vector<int>(4, 0));
 }
 
 TEST(SpillFileTest, TruncatedFileSurfacesIOError) {
   const std::string path =
       ::testing::TempDir() + "/spill_truncation_test.tmp";
-  auto spill = SpillFile::CreateAt(path);
-  ASSERT_TRUE(spill.ok());
-  std::vector<uint64_t> data(1000);
-  std::iota(data.begin(), data.end(), 0);
-  ASSERT_TRUE((*spill)->Append(data.data(), data.size() * 8).ok());
-  ASSERT_TRUE((*spill)->Flush().ok());
+  auto spill = IotaSpill(path, 1000);
 
   // Somebody (a full disk, an over-eager cleaner) truncates the file
   // between spill and merge-read.
   std::filesystem::resize_file(path, 300 * 8);
 
-  auto reader = (*spill)->OpenReader(0, 1000 * 8);
-  ASSERT_TRUE(reader.ok());
-  std::vector<uint64_t> buf(1000);
-  StatusOr<size_t> n = reader->Read(buf.data(), buf.size() * 8);
-  ASSERT_FALSE(n.ok());
-  EXPECT_EQ(n.status().code(), Status::Code::kIOError);
-  EXPECT_NE(n.status().message().find("truncated"), std::string::npos);
-}
-
-TEST(SpillFileTest, ReadAtServesInterleavedSegmentsThroughOneHandle) {
-  auto spill = SpillFile::Create("");
-  ASSERT_TRUE(spill.ok());
-  std::vector<uint64_t> data(2000);
-  std::iota(data.begin(), data.end(), 0);
-  ASSERT_TRUE((*spill)->Append(data.data(), data.size() * 8).ok());
-  ASSERT_TRUE((*spill)->Flush().ok());
-
-  // Interleave positioned reads the way the merge does across runs.
-  uint64_t a = 0, b = 0;
-  ASSERT_TRUE((*spill)->ReadAt(500 * 8, &a, 8).ok());
-  ASSERT_TRUE((*spill)->ReadAt(0, &b, 8).ok());
-  EXPECT_EQ(a, 500u);
-  EXPECT_EQ(b, 0u);
-  // Past the end: 0 bytes, not an error.
-  auto past = (*spill)->ReadAt(2000 * 8, &a, 8);
-  ASSERT_TRUE(past.ok());
-  EXPECT_EQ(*past, 0u);
-}
-
-TEST(SpillFileTest, ReadAtSurfacesTruncationAsIOError) {
-  const std::string path = ::testing::TempDir() + "/spill_readat_trunc.tmp";
-  auto spill = SpillFile::CreateAt(path);
-  ASSERT_TRUE(spill.ok());
-  std::vector<uint64_t> data(1000);
-  std::iota(data.begin(), data.end(), 0);
-  ASSERT_TRUE((*spill)->Append(data.data(), data.size() * 8).ok());
-  ASSERT_TRUE((*spill)->Flush().ok());
-  std::filesystem::resize_file(path, 100 * 8);
-
-  std::vector<uint64_t> buf(1000);
-  StatusOr<size_t> n = (*spill)->ReadAt(0, buf.data(), buf.size() * 8);
-  ASSERT_FALSE(n.ok());
-  EXPECT_EQ(n.status().code(), Status::Code::kIOError);
-  EXPECT_NE(n.status().message().find("truncated"), std::string::npos);
+  // Bytes before the cut still read back.
+  std::vector<uint64_t> buf(200);
+  StatusOr<size_t> before = spill->ReadAt(0, buf.data(), 200 * 8);
+  ASSERT_TRUE(before.ok());
+  EXPECT_EQ(buf[199], 199u);
+  // A read that straddles the cut and one that starts past it both fail:
+  // the written size promises bytes the file no longer has.
+  for (uint64_t offset : {uint64_t{200 * 8}, uint64_t{600 * 8}}) {
+    StatusOr<size_t> n = spill->ReadAt(offset, buf.data(), 200 * 8);
+    ASSERT_FALSE(n.ok()) << "offset " << offset;
+    EXPECT_EQ(n.status().code(), Status::Code::kIOError);
+    EXPECT_NE(n.status().message().find("truncated"), std::string::npos);
+  }
 }
 
 TEST(SpillFileTest, FileRemovedOnDestruction) {
