@@ -1,6 +1,5 @@
 #include "io/spill_file.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -44,7 +43,7 @@ StatusOr<std::unique_ptr<SpillFile>> SpillFile::Create(
 }
 
 StatusOr<std::unique_ptr<SpillFile>> SpillFile::CreateAt(std::string path) {
-  FILE* file = std::fopen(path.c_str(), "wb");
+  FILE* file = std::fopen(path.c_str(), "w+b");
   if (file == nullptr) {
     return Status::IOError("cannot create spill file " + path + ": " +
                            ErrnoMessage());
@@ -54,24 +53,8 @@ StatusOr<std::unique_ptr<SpillFile>> SpillFile::CreateAt(std::string path) {
 
 SpillFile::~SpillFile() {
   if (file_ != nullptr) std::fclose(file_);
-  if (const int fd = read_fd_.load(); fd >= 0) ::close(fd);
   std::error_code ec;
   std::filesystem::remove(path_, ec);  // best effort
-}
-
-int SpillFile::ReadFd() {
-  int fd = read_fd_.load(std::memory_order_acquire);
-  if (fd >= 0) return fd;
-  const int opened = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  if (opened < 0) return -1;
-  // Two first readers may race to open: the loser closes its descriptor and
-  // reads through the winner's.
-  if (read_fd_.compare_exchange_strong(fd, opened,
-                                       std::memory_order_acq_rel)) {
-    return opened;
-  }
-  ::close(opened);
-  return fd;
 }
 
 StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
@@ -86,11 +69,7 @@ StatusOr<size_t> SpillFile::ReadAt(uint64_t offset, void* buf, size_t cap) {
   if (fp == FailpointAction::kIOError) {
     return Status::IOError("read error (injected) on spill file " + path_);
   }
-  const int fd = ReadFd();
-  if (fd < 0) {
-    return Status::IOError("cannot reopen spill file " + path_ + ": " +
-                           ErrnoMessage());
-  }
+  const int fd = ::fileno(file_);
   const size_t want = static_cast<size_t>(
       std::min<uint64_t>(cap, bytes_written_ - offset));
   char* out = static_cast<char*>(buf);

@@ -15,7 +15,6 @@
 #ifndef DENSEST_IO_SPILL_FILE_H_
 #define DENSEST_IO_SPILL_FILE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -30,7 +29,7 @@ namespace densest {
 /// \brief One append-only temp file of spilled bytes, deleted when the
 /// object dies. Writes happen single-threaded (the shuffle appends runs in
 /// chunk order). The shuffle's merge reads all of a file's runs back
-/// through ReadAt, positioned reads on one read-only descriptor.
+/// through ReadAt, positioned reads on the file's own descriptor.
 class SpillFile {
  public:
   /// Creates a uniquely-named spill file in `dir` ("" uses the system temp
@@ -51,8 +50,8 @@ class SpillFile {
   /// full); the error is sticky and every later Append fails too.
   Status Append(const void* data, size_t bytes);
 
-  /// Flushes buffered writes to the OS so ReadAt (a separate descriptor)
-  /// observes everything appended so far.
+  /// Flushes buffered writes to the OS so ReadAt (which bypasses the write
+  /// buffer) observes everything appended so far.
   Status Flush();
 
   /// Total bytes successfully appended.
@@ -67,25 +66,21 @@ class SpillFile {
   /// Accumulated retry-loop outcomes across Append and ReadAt.
   IoRetryStats io_retry_stats() const { return retries_.stats(); }
 
-  /// Positioned read: a pread loop on one read-only descriptor, opened on
-  /// the first call and shared by all callers of this file. The merge
-  /// phase reads its many sorted runs through this, so open fds stay at
-  /// one per partition no matter how many runs spilled. Reads up to
-  /// min(cap, bytes_written() - offset) bytes; a short read before that is
-  /// an IOError ("truncated spill file"), never a silent end-of-data.
-  /// pread keeps no shared file offset, so concurrent ReadAt calls are
-  /// safe; none may overlap an Append.
+  /// Positioned read: a pread loop on the file's descriptor, which leaves
+  /// the write position alone. The merge phase reads its many sorted runs
+  /// through this, so open fds stay at one per partition no matter how
+  /// many runs spilled. Reads up to min(cap, bytes_written() - offset)
+  /// bytes of what was appended before the last Flush; a short read before
+  /// that is an IOError ("truncated spill file"), never a silent
+  /// end-of-data. One reader at a time (the shuffle merges each
+  /// partition's file from one thread), and not concurrently with Append.
   StatusOr<size_t> ReadAt(uint64_t offset, void* buf, size_t cap);
 
  private:
   SpillFile(FILE* file, std::string path)
       : file_(file), path_(std::move(path)) {}
 
-  /// The read-only descriptor, opened on first use; -1 on failure.
-  int ReadFd();
-
   FILE* file_;
-  std::atomic<int> read_fd_{-1};  // lazily opened by ReadFd
   std::string path_;
   uint64_t bytes_written_ = 0;
   Status status_;  // sticky write-side error

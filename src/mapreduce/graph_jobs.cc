@@ -7,13 +7,14 @@ namespace densest {
 
 namespace {
 
-/// Sum of counts: the combiner (T = PartialCount, one chunk's partial sum)
-/// and the reducer (T = EdgeId, the total) of the count jobs.
-template <typename T, typename K>
-void SumCounts(const K& key, const std::vector<PartialCount>& partials,
+/// Sum of counts: the combiner (T = P, one chunk's partial sum) and the
+/// reducer (T = EdgeId, the total) of the count jobs, whose shuffle values
+/// are P.
+template <typename T, typename K, typename P = T>
+void SumCounts(const K& key, const std::vector<P>& partials,
                Emitter<K, T>& emit) {
   T total = 0;
-  for (PartialCount x : partials) total += x;
+  for (P x : partials) total += x;
   emit.Emit(key, total);
 }
 
@@ -102,7 +103,8 @@ StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJobCombined(
         emit.Emit(u, 1);
         emit.Emit(v, 1);
       },
-      SumCounts<PartialCount, NodeId>, SumCounts<EdgeId, NodeId>, stats);
+      SumCounts<PartialCount, NodeId>, SumCounts<EdgeId, NodeId, PartialCount>,
+      stats);
 }
 
 std::vector<KV<NodeId, EdgeId>> MrDegreeJobCombined(MapReduceEnv& env,
@@ -131,17 +133,15 @@ std::vector<KV<uint64_t, EdgeId>> MrDirectedDegreeJob(MapReduceEnv& env,
 StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJobCombined(
     MapReduceEnv& env, MrEdgeSource& arcs, const JobOptions& options,
     JobStats* stats) {
-  if (Status s = CheckPartialCountWidth(options); !s.ok()) return s;
   JobOptions opts = options;
   opts.map_fanout_hint = 2.0;
-  return RunJobOnSource<uint64_t, PartialCount, uint64_t, EdgeId>(
+  return RunJobOnSource<uint64_t, EdgeId, uint64_t, EdgeId>(
       env, arcs, opts,
-      [](const NodeId& u, const NodeId& v,
-         Emitter<uint64_t, PartialCount>& emit) {
+      [](const NodeId& u, const NodeId& v, Emitter<uint64_t, EdgeId>& emit) {
         emit.Emit(2 * static_cast<uint64_t>(u), 1);      // out-degree slot
         emit.Emit(2 * static_cast<uint64_t>(v) + 1, 1);  // in-degree slot
       },
-      SumCounts<PartialCount, uint64_t>, SumCounts<EdgeId, uint64_t>, stats);
+      SumCounts<EdgeId, uint64_t>, SumCounts<EdgeId, uint64_t>, stats);
 }
 
 StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env, MrEdgeSource& edges,
@@ -152,7 +152,8 @@ StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env, MrEdgeSource& edges,
           env, edges, options,
           [](const NodeId&, const NodeId&,
              Emitter<NodeId, PartialCount>& emit) { emit.Emit(0, 1); },
-          SumCounts<PartialCount, NodeId>, SumCounts<EdgeId, NodeId>, stats);
+          SumCounts<PartialCount, NodeId>,
+          SumCounts<EdgeId, NodeId, PartialCount>, stats);
   if (!totals.ok()) return totals.status();
   return totals->empty() ? EdgeId{0} : totals->front().value;
 }

@@ -29,13 +29,15 @@ using MrEdges = std::vector<KV<NodeId, NodeId>>;
 /// EdgeStream, or a VectorRecordSource over MrEdges).
 using MrEdgeSource = RecordSource<NodeId, NodeId>;
 
-/// The shuffle value type of the count jobs (MrDegreeJobCombined,
-/// MrDirectedDegreeJobCombined, MrCountEdgesJob): one map chunk's combined
-/// count of a key. It is at most 2 * map_chunk_records, so 32 bits hold it,
-/// and a record with a NodeId key is 8 bytes instead of the 16 of a padded
-/// (NodeId, EdgeId) pair. The reducers sum the partials into EdgeId, so the
-/// jobs' output types and values do not depend on it. The jobs return
-/// InvalidArgument when 2 * map_chunk_records exceeds UINT32_MAX.
+/// The shuffle value type of the NodeId-keyed count jobs
+/// (MrDegreeJobCombined, MrCountEdgesJob): one map chunk's combined count of
+/// a key. It is at most 2 * map_chunk_records, so 32 bits hold it, and a
+/// record is 8 bytes instead of the 16 of a padded (NodeId, EdgeId) pair.
+/// The reducers sum the partials into EdgeId, so the jobs' output types and
+/// values do not depend on it. Both jobs return InvalidArgument when
+/// 2 * map_chunk_records exceeds UINT32_MAX. MrDirectedDegreeJobCombined
+/// keeps EdgeId partials: its 64-bit key pads a 32-bit value back to 16
+/// bytes, so a narrower value would save nothing.
 using PartialCount = uint32_t;
 
 /// Converts an in-memory edge vector into the MR representation.

@@ -72,11 +72,7 @@ inline constexpr int kRadixDigitBits = 11;
 /// Records with equal keys keep their input order, so the result is exactly
 /// that of a stable comparison sort by key. Digits start at the lowest bit on
 /// which two keys differ and skip every window of bits on which all keys
-/// agree, so the pass count follows the key spread, not the key width. The
-/// key scan that finds those bits also counts descents (a key below its
-/// predecessor); input with none is already sorted and comes back as `data`
-/// with `scratch` untouched — the shuffle sees such input whenever a spill
-/// or tail holds a single chunk's combined output.
+/// agree, so the pass count follows the key spread, not the key width.
 template <typename K, typename V>
 KV<K, V>* RadixSortByKey(KV<K, V>* data, KV<K, V>* scratch, size_t n) {
   static_assert(std::is_unsigned_v<K> && sizeof(K) <= sizeof(uint64_t),
@@ -90,15 +86,12 @@ KV<K, V>* RadixSortByKey(KV<K, V>* data, KV<K, V>* scratch, size_t n) {
     }
     return data;
   }
-  uint64_t any = data[0].key;
-  uint64_t all = data[0].key;
-  size_t descents = 0;
-  for (size_t i = 1; i < n; ++i) {
+  uint64_t any = 0;
+  uint64_t all = ~uint64_t{0};
+  for (size_t i = 0; i < n; ++i) {
     any |= data[i].key;
     all &= data[i].key;
-    descents += data[i].key < data[i - 1].key;
   }
-  if (descents == 0) return data;
   constexpr int kKeyBits = 8 * sizeof(K);
   constexpr int kMaxDigits = (kKeyBits + kRadixDigitBits - 1) / kRadixDigitBits;
   constexpr size_t kBuckets = size_t{1} << kRadixDigitBits;

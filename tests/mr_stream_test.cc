@@ -293,7 +293,7 @@ TEST(MrCombinerTest, DegreeShuffleBoundedByAliveNodesPerChunk) {
 
 TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
   // A chunk's partial count of one key reaches 2 * map_chunk_records,
-  // which must fit the 32-bit shuffle value.
+  // which must fit the 32-bit shuffle value of the NodeId-keyed count jobs.
   MrEdges edges = ToMrEdges(ErdosRenyiGnm(50, 200, 73).edges());
   MapReduceEnv env({}, 1);
   JobOptions opts;
@@ -301,8 +301,6 @@ TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
       size_t{std::numeric_limits<PartialCount>::max() / 2} + 1;
   VectorRecordSource<NodeId, NodeId> source(edges);
   EXPECT_EQ(MrDegreeJobCombined(env, source, opts).status().code(),
-            Status::Code::kInvalidArgument);
-  EXPECT_EQ(MrDirectedDegreeJobCombined(env, source, opts).status().code(),
             Status::Code::kInvalidArgument);
   EXPECT_EQ(MrCountEdgesJob(env, source, opts).status().code(),
             Status::Code::kInvalidArgument);
@@ -516,6 +514,16 @@ TYPED_TEST(ShuffleKernelTest, MatchesStableSortAcrossLengthsAndKeySpreads) {
     check(IndexedRecords<K>(n, 2, node_ids), "node ids");
     check(IndexedRecords<K>(n, 3, full), "full width");
     check(IndexedRecords<K>(n, 4, top), "top of range");
+    // Already sorted, two sorted runs back to back (one descent), and
+    // reversed.
+    auto ascending = StableSortedByKey(IndexedRecords<K>(n, 5, node_ids));
+    check(ascending, "ascending");
+    auto one_descent = ascending;
+    std::rotate(one_descent.begin(), one_descent.begin() + n / 3,
+                one_descent.end());
+    check(one_descent, "one descent");
+    std::reverse(ascending.begin(), ascending.end());
+    check(ascending, "reversed");
   }
 }
 
@@ -657,57 +665,6 @@ TYPED_TEST(ShuffleKernelTest, SpilledRunsMergeToTheStableGroups) {
       EXPECT_LT(keys[i - 1], keys[i]) << what << ": one group per key";
     }
     EXPECT_EQ(shuffle.spill_bytes_read(), shuffle.spill_bytes_written());
-  }
-}
-
-// Sorts `input` with a sentinel-filled scratch buffer; returns the sorted
-// records and whether the sort skipped its passes (returned `data` and left
-// the scratch untouched).
-template <typename K>
-std::pair<std::vector<KV<K, uint32_t>>, bool> RadixSortedNoting(
-    std::vector<KV<K, uint32_t>> input) {
-  constexpr KV<K, uint32_t> kSentinel{K{0x5a}, 0xdeadbeef};
-  std::vector<KV<K, uint32_t>> scratch(input.size(), kSentinel);
-  const KV<K, uint32_t>* sorted =
-      RadixSortByKey(input.data(), scratch.data(), input.size());
-  const bool untouched = std::all_of(
-      scratch.begin(), scratch.end(), [&](const KV<K, uint32_t>& kv) {
-        return kv.key == kSentinel.key && kv.value == kSentinel.value;
-      });
-  return {{sorted, sorted + input.size()},
-          sorted == input.data() && untouched};
-}
-
-TYPED_TEST(ShuffleKernelTest, SkipsTheSortExactlyWhenTheInputHasNoDescents) {
-  using K = TypeParam;
-  auto node_ids = [](Rng& r) { return static_cast<K>(r.UniformU64(200000)); };
-  for (size_t n : {kRadixSortSmallN, size_t{5000}}) {
-    const auto random = IndexedRecords<K>(n, 8, node_ids);
-    const auto ascending = StableSortedByKey(random);
-    const auto all_equal =
-        IndexedRecords<K>(n, 9, [](Rng&) { return K{4242}; });
-    // Two sorted runs back to back: one descent at the seam.
-    auto one_descent = ascending;
-    std::rotate(one_descent.begin(), one_descent.begin() + n / 3,
-                one_descent.end());
-    auto reversed = ascending;
-    std::reverse(reversed.begin(), reversed.end());
-    const std::pair<const char*, const std::vector<KV<K, uint32_t>>*> cases[] =
-        {{"ascending", &ascending},
-         {"all equal", &all_equal},
-         {"one descent", &one_descent},
-         {"reversed", &reversed},
-         {"random", &random}};
-    for (const auto& [name, input] : cases) {
-      const std::string what = std::string(name) + " n=" + std::to_string(n);
-      size_t descents = 0;
-      for (size_t i = 1; i < n; ++i) {
-        descents += (*input)[i].key < (*input)[i - 1].key;
-      }
-      const auto [sorted, skipped] = RadixSortedNoting(*input);
-      ExpectSameRecords(sorted, StableSortedByKey(*input), what);
-      EXPECT_EQ(skipped, descents == 0) << what;
-    }
   }
 }
 

@@ -12,7 +12,6 @@
 #include <memory>
 #include <numeric>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace densest {
@@ -83,25 +82,6 @@ TEST(SpillFileTest, ReadAtServesInterleavedSegmentsThroughOneHandle) {
   ASSERT_TRUE(spill->ReadAt(0, &b, 8).ok());
   EXPECT_EQ(a, 500u);
   EXPECT_EQ(b, 0u);
-}
-
-TEST(SpillFileTest, ConcurrentReadAtCallsSeeTheirOwnOffsets) {
-  // pread keeps no shared offset: readers racing on one file, including
-  // on the first (descriptor-opening) call, each get their own bytes.
-  auto spill = IotaSpill("", 4096);
-  std::vector<int> bad(4, 0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&, t] {
-      for (uint64_t i = t; i < 4096; i += 4) {
-        uint64_t v = ~uint64_t{0};
-        auto n = spill->ReadAt(i * 8, &v, 8);
-        if (!n.ok() || *n != 8 || v != i) ++bad[t];
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(bad, std::vector<int>(4, 0));
 }
 
 TEST(SpillFileTest, TruncatedFileSurfacesIOError) {
