@@ -32,7 +32,7 @@ int main() {
   std::printf("unconstrained (Algorithm 1): rho=%.3f |S|=%zu\n\n",
               unconstrained->density, unconstrained->nodes.size());
 
-  // All k values of the grid run fused through MultiRunEngine — one
+  // All k values of the grid run as one fused sweep over a PassEngine — one
   // physical scan per pass round feeds every still-active k.
   const NodeId kValues[] = {1u, 10u, 100u, 1000u, 10000u, 50000u, 100000u};
   std::vector<Algorithm2Options> grid;
@@ -44,8 +44,8 @@ int main() {
     grid.push_back(opt);
   }
   UndirectedGraphStream stream(g);
-  MultiRunEngine engine;
-  auto sweep = engine.RunUndirectedRuns(stream, grid);
+  PassEngine engine;
+  auto sweep = RunUndirectedRuns(engine, stream, grid);
   if (!sweep.ok()) return 1;
 
   std::printf("%8s %12s %10s %8s\n", "k", "rho_{>=k}", "|S|", "passes");

@@ -28,11 +28,11 @@ int main() {
               "seconds");
 
   // One fused sweep per rule (all three c values share physical scans
-  // through MultiRunEngine); keeping the rules in separate sweeps preserves
+  // through one PassEngine); keeping the rules in separate sweeps preserves
   // the per-rule wall-clock comparison this ablation is about.
   uint64_t fused_scans = 0;
   uint64_t logical_scans = 0;
-  MultiRunEngine engine;
+  PassEngine engine;
   for (auto rule : {DirectedRemovalRule::kSizeRatio,
                     DirectedRemovalRule::kMaxDegree}) {
     const double cs[] = {0.25, 1.0, 4.0};
@@ -47,7 +47,7 @@ int main() {
     }
     DirectedGraphStream stream(g);
     WallTimer t;
-    auto sweep = engine.RunDirectedRuns(stream, grid);
+    auto sweep = RunDirectedRuns(engine, stream, grid);
     if (!sweep.ok()) return 1;
     const double sweep_s = t.ElapsedSeconds();
     fused_scans += engine.last_physical_passes();

@@ -38,15 +38,16 @@ int main() {
     }
   };
 
-  // The whole epsilon grid runs fused through MultiRunEngine: one physical
-  // scan per pass round feeds all four runs, so the reported seconds are
-  // for the entire sweep (per-eps wall time is no longer separable).
+  // The whole epsilon grid runs as one fused sweep over a PassEngine: one
+  // physical scan per pass round feeds all four runs, so the reported
+  // seconds are for the entire sweep (per-eps wall time is no longer
+  // separable).
   {
     const std::vector<double> epsilons = {0.0, 0.5, 1.0, 2.0};
     Algorithm1Options base;
     base.record_trace = false;
     UndirectedGraphStream stream(g);
-    MultiRunEngine engine;
+    PassEngine engine;
     WallTimer t;
     auto sweep = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
     if (!sweep.ok()) return 1;

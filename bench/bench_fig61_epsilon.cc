@@ -1,6 +1,6 @@
 // Reproduces Figure 6.1: the effect of eps on (a) the approximation
 // relative to the eps=0 run and (b) the number of passes, on the flickr
-// and im stand-ins. The whole eps grid is fused through MultiRunEngine:
+// and im stand-ins. The whole eps grid is one fused sweep over a PassEngine:
 // every physical scan of the stream feeds all still-active eps runs, so
 // the sweep costs max-over-eps(passes) scans instead of the sum.
 
@@ -26,7 +26,7 @@ void Sweep(const char* name, const UndirectedGraph& g, CsvWriter* csv) {
   base.record_trace = false;
 
   UndirectedGraphStream stream(g);
-  MultiRunEngine engine;
+  PassEngine engine;
   auto runs = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
   if (!runs.ok()) {
     std::printf("sweep failed: %s\n", runs.status().ToString().c_str());

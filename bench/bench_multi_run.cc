@@ -1,9 +1,11 @@
-// Self-checking harness for the fused MultiRunEngine (core/multi_run.h).
+// Self-checking harness for the fused sweeps of core/multi_run.h: sweep
+// functions over a PassEngine.
 //
 // Runs the Figure 6.4 directed c-sweep and a Figure 6.1-style epsilon
-// sweep twice — once run-by-run (each configuration scans the stream for
-// itself) and once fused (all configurations share every physical scan) —
-// and verifies that
+// sweep twice — once run-by-run (RunAlgorithm3 / RunAlgorithm1 once per
+// configuration, each scanning the stream for itself) and once fused
+// (RunCSearch / RunAlgorithm1EpsilonSweep: all configurations share every
+// physical scan) — and verifies that
 //   1. the sweeps are IDENTICAL (density, passes, survivor sets per
 //      configuration, i.e. the CSVs the figures are drawn from), and
 //   2. the fused c-sweep performs at least 3x fewer physical stream scans
@@ -88,8 +90,9 @@ void Report(const char* section, const SectionOutcome& o, double floor,
   }
 }
 
-/// Figure 6.4 config: the whole delta=2 c-grid at one eps, sequential vs
-/// fused over the same directed graph.
+/// Figure 6.4 config: the whole delta=2 c-grid at one eps, run by run
+/// (RunAlgorithm3 per entry of CSearchGrid) vs fused (RunCSearch) over the
+/// same directed graph.
 SectionOutcome CSweep(const DirectedGraph& g, double eps) {
   CSearchOptions opt;
   opt.delta = 2.0;
@@ -101,29 +104,34 @@ SectionOutcome CSweep(const DirectedGraph& g, double eps) {
   DirectedGraphStream seq_inner(g);
   PassStats seq_stats;
   CountingEdgeStream seq_stream(seq_inner, seq_stats);
-  opt.fused = false;
+  std::vector<DirectedDensestResult> seq;
+  uint64_t seq_physical_scans = 0;
   WallTimer seq_timer;
-  auto seq = RunCSearch(seq_stream, opt);
+  for (const Algorithm3Options& run : CSearchGrid(g.num_nodes(), opt)) {
+    auto r = RunAlgorithm3(seq_stream, run);
+    if (!r.ok()) return out;  // identical stays false
+    seq_physical_scans += r->passes;
+    seq.push_back(std::move(*r));
+  }
   out.seq_wall_s = seq_timer.ElapsedSeconds();
 
   DirectedGraphStream fused_inner(g);
   PassStats fused_stats;
   CountingEdgeStream fused_stream(fused_inner, fused_stats);
-  opt.fused = true;
   WallTimer fused_timer;
   auto fused = RunCSearch(fused_stream, opt);
   out.fused_wall_s = fused_timer.ElapsedSeconds();
 
-  if (!seq.ok() || !fused.ok()) return out;  // identical stays false
+  if (!fused.ok()) return out;  // identical stays false
   out.seq_scans = seq_stats.passes;
   out.fused_scans = fused_stats.passes;
   out.fused_edges = fused_stats.edges_scanned;
 
-  out.identical = seq->sweep.size() == fused->sweep.size() &&
+  out.identical = seq.size() == fused->sweep.size() &&
                   fused->physical_scans == fused_stats.passes &&
-                  seq->physical_scans == seq_stats.passes;
-  for (size_t i = 0; out.identical && i < seq->sweep.size(); ++i) {
-    out.identical = SameRun(seq->sweep[i], fused->sweep[i]);
+                  seq_physical_scans == seq_stats.passes;
+  for (size_t i = 0; out.identical && i < seq.size(); ++i) {
+    out.identical = SameRun(seq[i], fused->sweep[i]);
   }
   return out;
 }
@@ -154,7 +162,7 @@ SectionOutcome EpsilonSweep(const UndirectedGraph& g) {
   UndirectedGraphStream fused_inner(g);
   PassStats fused_stats;
   CountingEdgeStream fused_stream(fused_inner, fused_stats);
-  MultiRunEngine engine;
+  PassEngine engine;
   WallTimer fused_timer;
   auto fused = RunAlgorithm1EpsilonSweep(fused_stream, base, epsilons, &engine);
   out.fused_wall_s = fused_timer.ElapsedSeconds();

@@ -1,7 +1,6 @@
 #include "core/algorithm3.h"
 
 #include <cmath>
-#include <memory>
 #include <vector>
 
 #include "core/multi_run.h"
@@ -46,7 +45,6 @@ std::vector<Algorithm3Options> CSearchGrid(NodeId n,
     run.rule = options.rule;
     run.max_passes = options.max_passes;
     run.record_trace = options.record_trace;
-    run.engine = options.engine;
     run.cancel = options.cancel;
     grid.push_back(run);
   }
@@ -63,30 +61,17 @@ StatusOr<CSearchResult> RunCSearch(EdgeStream& stream,
 
   const std::vector<Algorithm3Options> grid = CSearchGrid(n, options);
 
+  // All c values share every physical scan: one fused sweep feeds the
+  // whole grid, so the stream is scanned max-passes times instead of
+  // sum-of-passes times (the paper's "can be tried in parallel" remark).
+  PassEngine& engine = options.multi_engine != nullptr ? *options.multi_engine
+                                                       : DefaultPassEngine();
+  StatusOr<std::vector<DirectedDensestResult>> runs =
+      RunDirectedRuns(engine, stream, grid);
+  if (!runs.ok()) return runs.status();
   CSearchResult out;
-  if (options.fused) {
-    // All c values share every physical scan: one MultiRunEngine pass feeds
-    // the whole grid, so the stream is scanned max-passes times instead of
-    // sum-of-passes times (the paper's "can be tried in parallel" remark).
-    std::unique_ptr<MultiRunEngine> local;
-    MultiRunEngine* engine = options.multi_engine;
-    if (engine == nullptr) {
-      local = std::make_unique<MultiRunEngine>();
-      engine = local.get();
-    }
-    StatusOr<std::vector<DirectedDensestResult>> runs =
-        engine->RunDirectedRuns(stream, grid);
-    if (!runs.ok()) return runs.status();
-    out.sweep = std::move(*runs);
-    out.physical_scans = engine->last_physical_passes();
-  } else {
-    for (const Algorithm3Options& run : grid) {
-      StatusOr<DirectedDensestResult> r = RunAlgorithm3(stream, run);
-      if (!r.ok()) return r.status();
-      out.physical_scans += r->passes;
-      out.sweep.push_back(std::move(*r));
-    }
-  }
+  out.sweep = std::move(*runs);
+  out.physical_scans = engine.last_physical_passes();
 
   double best_density = -1.0;
   for (const DirectedDensestResult& run : out.sweep) {

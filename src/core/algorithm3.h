@@ -17,7 +17,6 @@
 namespace densest {
 
 class PassEngine;
-class MultiRunEngine;
 
 /// \brief Which set to peel when both are nonempty.
 enum class DirectedRemovalRule {
@@ -70,21 +69,13 @@ struct CSearchOptions {
   uint64_t max_passes = 100000;
   /// Record traces in the per-c results (memory heavy for big sweeps).
   bool record_trace = false;
-  /// Pass engine for every run of the sweep; nullptr = DefaultPassEngine().
-  /// Only consulted when `fused` is false (the fused path scans through a
-  /// MultiRunEngine instead).
-  PassEngine* engine = nullptr;
-  /// Fuse the whole c-grid into shared physical scans (core/multi_run.h):
-  /// every pass of the stream feeds all still-active c values at once, so
-  /// the stream is scanned max-over-c(passes) times instead of
-  /// sum-over-c(passes) times. Results are identical either way; this only
-  /// changes IO. false forces one independent run per c.
-  bool fused = true;
-  /// Engine for the fused path; nullptr = a private MultiRunEngine per
-  /// call. Supply one to reuse its scratch across sweeps or to pick the
-  /// fan-out thread count.
-  MultiRunEngine* multi_engine = nullptr;
-  /// Optional cooperative cancellation for the whole sweep (fused or not).
+  /// Engine the whole grid is fused on (core/multi_run.h): every pass of
+  /// the stream feeds all still-active c values at once, so the stream is
+  /// scanned max-over-c(passes) times instead of sum-over-c(passes) times.
+  /// nullptr = DefaultPassEngine(). Supply one to pick the fan-out thread
+  /// count or to run searches concurrently.
+  PassEngine* multi_engine = nullptr;
+  /// Optional cooperative cancellation for the whole sweep.
   const CancelToken* cancel = nullptr;
 };
 
@@ -94,13 +85,14 @@ struct [[nodiscard]] CSearchResult {
   DirectedDensestResult best;
   std::vector<DirectedDensestResult> sweep;
   /// Physical scans of the stream the whole search cost: the number of
-  /// fused passes when fusing, the sum of per-run passes otherwise.
+  /// fused pass rounds, i.e. the longest run's passes.
   uint64_t physical_scans = 0;
 };
 
 /// The c-grid a CSearchOptions spans: one Algorithm3Options per c = delta^j,
 /// j in [-ceil(log_delta n), +ceil(log_delta n)]. Exposed so callers can
-/// fuse the same grid through a MultiRunEngine themselves. Empty when
+/// run the same grid themselves, fused (RunDirectedRuns in
+/// core/multi_run.h) or one RunAlgorithm3 per entry. Empty when
 /// n == 0 or delta <= 1 (invalid; RunCSearch reports those as statuses).
 std::vector<Algorithm3Options> CSearchGrid(NodeId n,
                                            const CSearchOptions& options);

@@ -1,11 +1,12 @@
 // Copyright 2026 The densest Authors.
 // The one driver of streaming passes. Every peeling run in the library
-// (Algorithms 1-3, the sketched variant, the K-run sweeps of
-// core/multi_run.h, the dynamic service's recompute) is a FusedRun, and
-// PassEngine::Drive takes any number of them to completion over shared
-// physical scans of a stream: each round of shards is fanned across the
-// runs that still need the stream, runs that converge drop out, and the
-// loop ends when every run is done. A solo run is simply K = 1.
+// (Algorithms 1-3, the sketched variant, the dynamic service's recompute)
+// is a FusedRun, and PassEngine::Drive takes any number of them to
+// completion over shared physical scans of a stream: each round of shards
+// is fanned across the runs that still need the stream, runs that converge
+// drop out, and the loop ends when every run is done. A solo run is simply
+// K = 1; the K-run sweeps of core/multi_run.h are free functions over one
+// PassEngine.
 //
 // Each round is filled in one of two ways:
 //   edge fill — up to kShardSlots views of kShardEdges edge records pulled

@@ -19,12 +19,13 @@
 // O(window) counter touches, not O(log n) structures). When the density
 // drifts out of the window — k* reaches the top slot, or every maintained
 // slot goes empty — the certificate has degraded, and the configured
-// fallback kicks in: a full batch recompute of the live edge set through
-// the fused MultiRunEngine (the batch engines are the slow path of this
-// service, not a separate world) re-centers the window, and the slots that
-// slid into view are rebuilt by static peeling. Window moves are
-// geometrically spaced in density, so recomputes amortize to O(log)
-// occurrences over any monotone density trajectory.
+// fallback kicks in: a full batch recompute of the live edge set (a
+// RunAlgorithm1 on the service's own PassEngine, the same Drive loop every
+// batch sweep uses — the slow path of this service, not a separate world)
+// re-centers the window, and the slots that slid into view are rebuilt by
+// static peeling. Window moves are geometrically spaced in density, so
+// recomputes amortize to O(log) occurrences over any monotone density
+// trajectory.
 
 #ifndef DENSEST_DYNAMIC_DYNAMIC_DENSEST_H_
 #define DENSEST_DYNAMIC_DYNAMIC_DENSEST_H_
@@ -38,7 +39,7 @@
 
 #include "common/status.h"
 #include "core/answer.h"
-#include "core/multi_run.h"
+#include "core/pass_engine.h"
 #include "dynamic/degree_levels.h"
 #include "graph/types.h"
 #include "stream/update_stream.h"
@@ -49,7 +50,7 @@ namespace densest {
 /// leaves the maintained threshold window).
 enum class DynamicFallback {
   /// Re-center by running the batch Algorithm 1 over the live edge set
-  /// through the MultiRunEngine, then rebuild the slots that came into
+  /// on the service's PassEngine, then rebuild the slots that came into
   /// view. The default: the recompute both re-centers accurately and
   /// refreshes stats().last_recompute_density.
   kRecompute,
@@ -105,9 +106,9 @@ struct DynamicDensestOptions {
   /// Updates to absorb before re-attempting a deadline-cancelled
   /// recompute (kRecompute with a deadline only). Must be >= 1.
   uint32_t recompute_rearm_updates = 4096;
-  /// Thread fan-out of the recompute engine (see MultiRunOptions); any
-  /// value yields identical recompute results.
-  MultiRunOptions engine_options;
+  /// Thread fan-out of the recompute's PassEngine; any value yields
+  /// identical recompute results.
+  PassEngineOptions engine_options;
 };
 
 /// \brief Counters the service accumulates (monotone; never reset).
@@ -260,7 +261,7 @@ class DynamicDensest {
   uint32_t lo_ = 0;     // first maintained slot
   uint32_t trim_streak_ = 0;  // consecutive updates the trim condition held
   std::vector<DegreeLevels> slots_;
-  std::unique_ptr<MultiRunEngine> engine_;  // lazily created on recompute
+  std::unique_ptr<PassEngine> engine_;  // lazily created on recompute
   // Overload-protection state (recompute_deadline_ms); snapshotted as
   // OverloadState so a restored engine serves the same widened band a
   // pending one did instead of reporting an answer it cannot certify.

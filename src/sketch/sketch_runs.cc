@@ -119,33 +119,28 @@ SketchedResult SketchedAlgorithm1Run::TakeResult() {
 
 StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
     EdgeStream& stream, const std::vector<SketchedSweepRun>& runs,
-    MultiRunEngine* engine) {
+    PassEngine* engine) {
   const NodeId n = stream.num_nodes();
-  std::vector<std::unique_ptr<SketchedAlgorithm1Run>> states;
-  states.reserve(runs.size());
-  // One token governs the shared scan (see RunDirectedRuns): the first
-  // non-null per-run token.
-  const CancelToken* cancel = nullptr;
-  for (const SketchedSweepRun& run : runs) {
-    if (Status s = Algorithm1Run::Validate(n, run.options); !s.ok()) {
-      return s;
-    }
-    if (cancel == nullptr) cancel = run.options.cancel;
-    std::unique_ptr<DegreeOracle> oracle;
-    if (run.exact) {
-      oracle = std::make_unique<ExactDegreeOracle>(n);
-    } else {
-      StatusOr<CountSketch> sketch =
-          CountSketch::Create(run.sketch, run.sketch_seed);
-      if (!sketch.ok()) return sketch.status();
-      oracle = std::make_unique<SketchDegreeOracle>(std::move(*sketch));
-    }
-    states.push_back(std::make_unique<SketchedAlgorithm1Run>(
-        n, std::move(oracle), run.options));
-  }
-  if (engine != nullptr) return engine->Sweep(stream, states, cancel);
-  MultiRunEngine local;
-  return local.Sweep(stream, states, cancel);
+  return Sweep<SketchedAlgorithm1Run>(
+      engine != nullptr ? *engine : DefaultPassEngine(), stream, runs,
+      [](const SketchedSweepRun& run) { return run.options.cancel; },
+      [n](const SketchedSweepRun& run)
+          -> StatusOr<std::unique_ptr<SketchedAlgorithm1Run>> {
+        if (Status s = Algorithm1Run::Validate(n, run.options); !s.ok()) {
+          return s;
+        }
+        std::unique_ptr<DegreeOracle> oracle;
+        if (run.exact) {
+          oracle = std::make_unique<ExactDegreeOracle>(n);
+        } else {
+          StatusOr<CountSketch> sketch =
+              CountSketch::Create(run.sketch, run.sketch_seed);
+          if (!sketch.ok()) return sketch.status();
+          oracle = std::make_unique<SketchDegreeOracle>(std::move(*sketch));
+        }
+        return std::make_unique<SketchedAlgorithm1Run>(n, std::move(oracle),
+                                                       run.options);
+      });
 }
 
 }  // namespace densest

@@ -91,12 +91,14 @@ struct SketchedSweepRun {
 /// Table 4 grid costs max-over-runs(passes) scans instead of the sum.
 /// Results are positionally matched to `runs` and bit-identical to
 /// sequential RunAlgorithm1WithOracle calls with equal oracles, for any
-/// engine thread count and stream. Uses a private MultiRunEngine
-/// when `engine` is null; on success the engine's last_physical_passes() /
-/// last_logical_passes() report the fused saving.
+/// engine thread count and stream. A sweep function over a PassEngine
+/// (core/multi_run.h): runs on DefaultPassEngine() when `engine` is null,
+/// and the first non-null per-run cancel token governs the shared scan; on
+/// success the engine's last_physical_passes() / last_logical_passes()
+/// report the fused saving.
 StatusOr<std::vector<SketchedResult>> RunSketchedSweep(
     EdgeStream& stream, const std::vector<SketchedSweepRun>& runs,
-    MultiRunEngine* engine = nullptr);
+    PassEngine* engine = nullptr);
 
 }  // namespace densest
 

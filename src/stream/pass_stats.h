@@ -1,5 +1,5 @@
 // Copyright 2026 The densest Authors.
-// Accounting for the streaming model: passes, edges scanned, bytes, memory.
+// Accounting for the streaming model: passes, edges scanned, IO retries.
 
 #ifndef DENSEST_STREAM_PASS_STATS_H_
 #define DENSEST_STREAM_PASS_STATS_H_
@@ -16,18 +16,11 @@ namespace densest {
 struct PassStats {
   uint64_t passes = 0;
   uint64_t edges_scanned = 0;
-  /// Peak words of between-pass state the algorithm reported via
-  /// ReportStateWords (the semi-streaming O(n) budget).
-  uint64_t peak_state_words = 0;
   /// Transient IO faults retried / healed by the stream's retry loop (see
   /// common/retry.h): a run that limped through transient faults is
   /// observably different from a clean one even when both succeed.
   uint64_t io_retries = 0;
   uint64_t io_retries_healed = 0;
-
-  void ReportStateWords(uint64_t words) {
-    if (words > peak_state_words) peak_state_words = words;
-  }
 
   std::string ToString() const;
 };

@@ -1,5 +1,5 @@
-// Equivalence tests for the fused MultiRunEngine: a fused c-sweep or
-// epsilon-sweep must produce results bit-identical to the same
+// Equivalence tests for the fused sweeps of core/multi_run.h: a fused
+// c-sweep or epsilon-sweep must produce results bit-identical to the same
 // configurations run sequentially — densities, pass counts, survivor sets
 // and traces — across 1..8 threads (so both fan-out shapes: run-major while
 // the runs are at least as many as the threads, work-major below) and
@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "core/algorithm1.h"
 #include "core/algorithm2.h"
@@ -101,8 +102,8 @@ void CheckDirectedEquivalence(EdgeStream& stream, const std::string& label) {
   }
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
-    auto fused = engine.RunDirectedRuns(stream, grid);
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    auto fused = RunDirectedRuns(engine, stream, grid);
     ASSERT_TRUE(fused.ok()) << label;
     ASSERT_EQ(fused->size(), grid.size()) << label;
     uint64_t max_passes = 0;
@@ -193,7 +194,7 @@ void CheckEpsilonSweepEquivalence(EdgeStream& stream,
 
   // 5 runs: run-major at 2 and 4 threads, work-major at 8.
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
     auto fused = RunAlgorithm1EpsilonSweep(stream, base, epsilons, &engine);
     ASSERT_TRUE(fused.ok()) << label;
     ASSERT_EQ(fused->size(), epsilons.size()) << label;
@@ -303,8 +304,8 @@ TEST(MultiRunAlgorithm2Test, FusedMatchesSequential) {
 
   // 6 runs: run-major at 4 threads, work-major at 8.
   for (size_t threads : {1u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
-    auto fused = engine.RunUndirectedRuns(stream, grid);
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    auto fused = RunUndirectedRuns(engine, stream, grid);
     ASSERT_TRUE(fused.ok());
     ASSERT_EQ(fused->size(), grid.size());
     for (size_t i = 0; i < grid.size(); ++i) {
@@ -326,15 +327,41 @@ TEST(MultiRunDriveTest, TruncatedFileAbortsTheSweep) {
   auto stream = BinaryFileEdgeStream::Open(path);
   ASSERT_TRUE(stream.ok());
 
-  MultiRunEngine engine(MultiRunOptions{.num_threads = 2});
+  PassEngine engine(PassEngineOptions{.num_threads = 2});
   auto fused = RunAlgorithm1EpsilonSweep(**stream, {}, EpsilonGrid(), &engine);
   ASSERT_FALSE(fused.ok());
   EXPECT_EQ(fused.status().code(), Status::Code::kIOError);
   std::remove(path.c_str());
 }
 
+TEST(MultiRunDriveTest, LaterRunsCancelTokenStopsTheSweep) {
+  // The scan is shared, so the first non-null per-run token governs every
+  // run, even when only a later run's options carry it.
+  EdgeList el = ErdosRenyiGnm(200, 2000, 87);
+  EdgeListStream stream(el);
+  CancelToken token;
+  token.Cancel();
+  std::vector<Algorithm1Options> runs(3);
+  runs[2].cancel = &token;
+  PassEngine engine(PassEngineOptions{.num_threads = 2});
+  auto fused = RunUndirectedRuns(engine, stream, runs);
+  ASSERT_FALSE(fused.ok());
+  EXPECT_EQ(fused.status().code(), Status::Code::kCancelled);
+}
+
 // ---------------------------------------------------------------------------
 // Fused RunCSearch (the converted §6.4 entry point).
+
+/// The run-by-run reference of RunCSearch: one RunAlgorithm3 per entry of
+/// CSearchGrid, each scanning `stream` for itself.
+void SequentialCSearch(EdgeStream& stream, const CSearchOptions& opt,
+                       std::vector<DirectedDensestResult>* sweep) {
+  for (const Algorithm3Options& o : CSearchGrid(stream.num_nodes(), opt)) {
+    auto r = RunAlgorithm3(stream, o);
+    ASSERT_TRUE(r.ok());
+    sweep->push_back(std::move(*r));
+  }
+}
 
 TEST(MultiRunCSearchTest, FusedMatchesSequentialAndSavesScans) {
   EdgeList el = ErdosRenyiDirectedGnm(200, 3000, 67);
@@ -347,32 +374,37 @@ TEST(MultiRunCSearchTest, FusedMatchesSequentialAndSavesScans) {
   EdgeListStream seq_inner(el);
   PassStats seq_stats;
   CountingEdgeStream seq_stream(seq_inner, seq_stats);
-  opt.fused = false;
-  auto seq = RunCSearch(seq_stream, opt);
-  ASSERT_TRUE(seq.ok());
+  std::vector<DirectedDensestResult> seq;
+  SequentialCSearch(seq_stream, opt, &seq);
+  uint64_t seq_scans = 0;
+  const DirectedDensestResult* seq_best = nullptr;
+  for (const DirectedDensestResult& r : seq) {
+    seq_scans += r.passes;
+    if (seq_best == nullptr || r.density > seq_best->density) seq_best = &r;
+  }
 
   EdgeListStream fused_inner(el);
   PassStats fused_stats;
   CountingEdgeStream fused_stream(fused_inner, fused_stats);
-  opt.fused = true;
   auto fused = RunCSearch(fused_stream, opt);
   ASSERT_TRUE(fused.ok());
 
-  ASSERT_EQ(seq->sweep.size(), fused->sweep.size());
-  for (size_t i = 0; i < seq->sweep.size(); ++i) {
-    ExpectSameDirected(seq->sweep[i], fused->sweep[i],
+  ASSERT_EQ(seq.size(), fused->sweep.size());
+  for (size_t i = 0; i < seq.size(); ++i) {
+    ExpectSameDirected(seq[i], fused->sweep[i],
                        "csearch run=" + std::to_string(i));
   }
-  ExpectSameDirected(seq->best, fused->best, "csearch best");
+  ASSERT_NE(seq_best, nullptr);
+  ExpectSameDirected(*seq_best, fused->best, "csearch best");
 
   // Scan accounting: the wrapper counts one Reset per physical scan.
-  EXPECT_EQ(seq->physical_scans, seq_stats.passes);
+  EXPECT_EQ(seq_scans, seq_stats.passes);
   EXPECT_EQ(fused->physical_scans, fused_stats.passes);
-  EXPECT_LT(fused->physical_scans, seq->physical_scans);
+  EXPECT_LT(fused->physical_scans, seq_scans);
 }
 
-TEST(MultiRunCSearchTest, WeightedCsrStreamIdenticalAcrossFusedFlag) {
-  // Weighted + CSR view: the fused flag never changes results.
+TEST(MultiRunCSearchTest, WeightedCsrStreamMatchesSequential) {
+  // Weighted + CSR view: fusing the grid never changes results.
   GraphBuilder b;
   EdgeList el = ErdosRenyiDirectedGnm(120, 1500, 73);
   Rng rng(79);
@@ -383,15 +415,13 @@ TEST(MultiRunCSearchTest, WeightedCsrStreamIdenticalAcrossFusedFlag) {
   CSearchOptions opt;
   opt.epsilon = 0.5;
   opt.record_trace = false;
-  opt.fused = false;
-  auto seq = RunCSearch(stream, opt);
-  ASSERT_TRUE(seq.ok());
-  opt.fused = true;
+  std::vector<DirectedDensestResult> seq;
+  SequentialCSearch(stream, opt, &seq);
   auto fused = RunCSearch(stream, opt);
   ASSERT_TRUE(fused.ok());
-  ASSERT_EQ(seq->sweep.size(), fused->sweep.size());
-  for (size_t i = 0; i < seq->sweep.size(); ++i) {
-    ExpectSameDirected(seq->sweep[i], fused->sweep[i],
+  ASSERT_EQ(seq.size(), fused->sweep.size());
+  for (size_t i = 0; i < seq.size(); ++i) {
+    ExpectSameDirected(seq[i], fused->sweep[i],
                        "weighted-csr run=" + std::to_string(i));
   }
 }
@@ -408,18 +438,18 @@ TEST(MultiRunCSearchTest, CSearchGridRejectsInvalidShapes) {
 }
 
 TEST(MultiRunCSearchTest, EmptyAndInvalidInputs) {
-  MultiRunEngine engine(MultiRunOptions{.num_threads = 2});
+  PassEngine engine(PassEngineOptions{.num_threads = 2});
   EdgeList el = ErdosRenyiDirectedGnm(50, 200, 71);
   EdgeListStream stream(el);
 
-  auto empty = engine.RunDirectedRuns(stream, {});
+  auto empty = RunDirectedRuns(engine, stream, {});
   ASSERT_TRUE(empty.ok());
   EXPECT_TRUE(empty->empty());
   EXPECT_EQ(engine.last_physical_passes(), 0u);
 
   Algorithm3Options bad;
   bad.c = -1.0;
-  auto invalid = engine.RunDirectedRuns(stream, {bad});
+  auto invalid = RunDirectedRuns(engine, stream, {bad});
   EXPECT_FALSE(invalid.ok());
 }
 
@@ -490,8 +520,8 @@ TEST(MultiRunWeightedCsrTest, SweepsMatchSoloRunsAtAnyThreadCount) {
   for (size_t threads : {1u, 4u}) {
     const std::string label = "threads=" + std::to_string(threads);
     PassEngine solo(PassEngineOptions{.num_threads = threads});
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
-    auto fused1 = engine.RunUndirectedRuns(stream, alg1);
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    auto fused1 = RunUndirectedRuns(engine, stream, alg1);
     ASSERT_TRUE(fused1.ok()) << label;
     for (size_t i = 0; i < alg1.size(); ++i) {
       Algorithm1Options o = alg1[i];
@@ -501,7 +531,7 @@ TEST(MultiRunWeightedCsrTest, SweepsMatchSoloRunsAtAnyThreadCount) {
       ExpectSameUndirected(*want, (*fused1)[i],
                            "alg1 " + label + " run=" + std::to_string(i));
     }
-    auto fused3 = engine.RunDirectedRuns(arc_stream, alg3);
+    auto fused3 = RunDirectedRuns(engine, arc_stream, alg3);
     ASSERT_TRUE(fused3.ok()) << label;
     for (size_t i = 0; i < alg3.size(); ++i) {
       Algorithm3Options o = alg3[i];
@@ -573,14 +603,14 @@ TEST(MultiRunAliveKernelTest, FusedAlgorithms1And2MatchSequentialAfterPeels) {
   // 3 and 2 runs: run-major at 2 threads (alg1), work-major at 4.
   for (size_t threads : {1u, 2u, 4u}) {
     const std::string label = "threads=" + std::to_string(threads);
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
-    auto fused1 = engine.RunUndirectedRuns(stream, alg1);
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    auto fused1 = RunUndirectedRuns(engine, stream, alg1);
     ASSERT_TRUE(fused1.ok()) << label;
     for (size_t i = 0; i < alg1.size(); ++i) {
       ExpectSameUndirected(seq1[i], (*fused1)[i],
                            "alg1 " + label + " run=" + std::to_string(i));
     }
-    auto fused2 = engine.RunUndirectedRuns(stream, alg2);
+    auto fused2 = RunUndirectedRuns(engine, stream, alg2);
     ASSERT_TRUE(fused2.ok()) << label;
     for (size_t i = 0; i < alg2.size(); ++i) {
       ExpectSameUndirected(seq2[i], (*fused2)[i],
@@ -612,8 +642,8 @@ TEST(MultiRunAliveKernelTest, FusedAlgorithm3MatchesSequentialAfterPeels) {
   // 3 runs: run-major at 2 threads, work-major at 4.
   for (size_t threads : {1u, 2u, 4u}) {
     const std::string label = "threads=" + std::to_string(threads);
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
-    auto fused = engine.RunDirectedRuns(stream, grid);
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
+    auto fused = RunDirectedRuns(engine, stream, grid);
     ASSERT_TRUE(fused.ok()) << label;
     for (size_t i = 0; i < grid.size(); ++i) {
       ExpectSameDirected(seq[i], (*fused)[i],

@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancel.h"
 #include "common/random.h"
 #include "core/algorithm1.h"
 #include "gen/erdos_renyi.h"
@@ -95,7 +96,7 @@ void CheckSketchedEquivalence(EdgeStream& stream, const std::string& label) {
   }
 
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    MultiRunEngine engine(MultiRunOptions{.num_threads = threads});
+    PassEngine engine(PassEngineOptions{.num_threads = threads});
     auto fused = RunSketchedSweep(stream, grid, &engine);
     ASSERT_TRUE(fused.ok()) << label;
     ASSERT_EQ(fused->size(), grid.size()) << label;
@@ -170,7 +171,7 @@ TEST(SketchFusionTest, ScanAccountingMatchesCountingStream) {
   PassStats stats;
   CountingEdgeStream stream(inner, stats);
 
-  MultiRunEngine engine;
+  PassEngine engine;
   auto fused = RunSketchedSweep(stream, SketchGrid(), &engine);
   ASSERT_TRUE(fused.ok());
   EXPECT_EQ(engine.last_physical_passes(), stats.passes);
@@ -185,7 +186,7 @@ TEST(SketchFusionTest, ScanAccountingMatchesCountingStream) {
 TEST(SketchFusionDegenerateTest, EmptyGridYieldsEmptyResults) {
   EdgeList el = ErdosRenyiGnm(50, 200, 139);
   EdgeListStream stream(el);
-  MultiRunEngine engine;
+  PassEngine engine;
   auto r = RunSketchedSweep(stream, {}, &engine);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
@@ -241,6 +242,24 @@ TEST(SketchFusionDegenerateTest, NegativeEpsilonRejected) {
   auto r = RunSketchedSweep(stream, grid);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+}
+
+TEST(SketchFusionDegenerateTest, LaterRunsCancelTokenStopsTheSweep) {
+  // One token governs the shared scan: the first non-null per-run token,
+  // here carried only by the last run's options.
+  EdgeList el = ErdosRenyiGnm(200, 2000, 153);
+  EdgeListStream stream(el);
+  CancelToken token;
+  token.Cancel();
+  std::vector<SketchedSweepRun> grid(3);
+  grid[0].exact = true;
+  grid[1].sketch.buckets = 128;
+  grid[2].sketch.buckets = 256;
+  grid[2].options.cancel = &token;
+  PassEngine engine(PassEngineOptions{.num_threads = 2});
+  auto r = RunSketchedSweep(stream, grid, &engine);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kCancelled);
 }
 
 TEST(SketchFusionDegenerateTest, TruncatedFileSurfacesIOError) {
