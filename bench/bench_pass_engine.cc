@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -85,54 +84,18 @@ Measurement Measure(EdgeId edges, int reps, const PassFn& pass) {
   return m;
 }
 
-/// Calling-thread CPU seconds (CLOCK_THREAD_CPUTIME_ID).
-double ThreadCpuSeconds() {
-  timespec ts{};
-  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         1e-9 * static_cast<double>(ts.tv_nsec);
-}
-
 /// Thread CPU seconds `passes` calls of `pass` take.
 template <typename PassFn>
 double TimeTrial(const PassFn& pass, int passes) {
-  const double t0 = ThreadCpuSeconds();
+  const double t0 = bench::ThreadCpuSeconds();
   for (int p = 0; p < passes; ++p) pass();
-  return ThreadCpuSeconds() - t0;
+  return bench::ThreadCpuSeconds() - t0;
 }
 
 /// Obs-overhead gate shape: metrics-on/off trial pairs, and the thread CPU
 /// time one trial should take.
 constexpr int kObsPairs = 400;
 constexpr double kObsTrialSeconds = 2e-3;
-
-double MedianOf(std::vector<double> v) {
-  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
-  return v[v.size() / 2];
-}
-
-struct MedianCi {
-  double median = 0;
-  double lo = 0;  // 2.5th percentile of the bootstrap medians
-  double hi = 0;  // 97.5th percentile
-};
-
-/// Median of `samples` with a percentile-bootstrap 95% confidence interval
-/// (fixed seed, so a rerun on the same samples gives the same interval).
-MedianCi BootstrapMedianCi(const std::vector<double>& samples) {
-  constexpr int kResamples = 2000;
-  Rng rng(0xb0075);
-  std::vector<double> medians(kResamples);
-  std::vector<double> resample(samples.size());
-  for (double& m : medians) {
-    for (double& x : resample) x = samples[rng.UniformU64(samples.size())];
-    m = MedianOf(resample);
-  }
-  std::sort(medians.begin(), medians.end());
-  return MedianCi{.median = MedianOf(samples),
-                  .lo = medians[kResamples / 40],
-                  .hi = medians[kResamples - 1 - kResamples / 40]};
-}
 
 void Report(const char* stream_name, const char* config, Measurement m,
             double baseline_eps, StatusOr<CsvWriter>& csv,
@@ -294,7 +257,7 @@ int main(int argc, char** argv) {
       paired[i] = t[1] / t[0] - 1.0;
     }
     obs::MetricsRegistry::Get().set_enabled(true);
-    const MedianCi ci = BootstrapMedianCi(paired);
+    const bench::MedianCi ci = bench::BootstrapMedianCi(paired);
     const double trial_edges = static_cast<double>(num_edges) * passes;
     const double on_eps = trial_edges * kObsPairs / on_s;
     const double off_eps = trial_edges * kObsPairs / off_s;

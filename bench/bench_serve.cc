@@ -8,12 +8,26 @@
 // Usage: bench_serve [smoke]
 //
 //   smoke    CI gate: fails (exit 1) when the writer under concurrent
-//            serving (4 readers + a paced client) sustains less than 80%
-//            of its standalone apply throughput, when any query batch
-//            fails with a non-backpressure status, when fewer than 100
-//            queries are actually served, or when any answer a client
+//            serving (4 readers + a paced client) may sustain less than
+//            80% of its standalone apply throughput, when the metrics
+//            registry may cost the writer 2% or more, when any query
+//            batch fails with a non-backpressure status, when fewer than
+//            100 queries are actually served, or when any answer a client
 //            observed is not bit-for-bit one writer publication (a torn
 //            read). Emits bench_results/BENCH_serve.json either way.
+//
+//            Both cost gates are interleaved paired trials timed in the
+//            writer thread's CPU time, which excludes the vCPU steal and
+//            preemption of a shared host: each pair replays the same
+//            updates once without and once with the cost (alternating
+//            which runs first, so drift and order effects cancel), and
+//            its cost is the throughput lost, 1 - t_without / t_with. A
+//            gate fails when the upper bound of the bootstrap 95%
+//            confidence interval on the median pair cost reaches its
+//            threshold. The obs gate's pairs are short: two engines
+//            replay the workload in lockstep, one chunk per pair. The
+//            serving gate's pairs are whole replays, so a serving trial
+//            carries the readers' and client's interference.
 //   (none)   figure mode: serving latency percentiles and writer
 //            throughput across reader-pool sizes.
 
@@ -21,6 +35,7 @@
 #include <atomic>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -42,9 +57,20 @@ namespace {
 
 using namespace densest;
 
-/// The smoke contract: serving must cost the writer at most this fraction
-/// of its standalone apply throughput.
-constexpr double kMinServingRatio = 0.80;
+/// The smoke contract: serving may cost the writer less than this fraction
+/// of its standalone apply throughput, the metrics registry less than
+/// kMaxObsCost.
+constexpr double kMaxServingCost = 0.20;
+constexpr double kMaxObsCost = 0.02;
+/// The gate workload: a 50k-edge sliding window over 100k edges (150k
+/// updates, deletions included). The obs gate replays it kObsRounds times
+/// in chunks, one pair per chunk; the serving gate replays it whole,
+/// kServingPairs times per side.
+constexpr size_t kObsChunk = 1024;
+constexpr int kObsRounds = 6;
+constexpr int kServingPairs = 30;
+constexpr EdgeId kGateEdges = 100000;
+constexpr EdgeId kGateWindow = 50000;
 constexpr size_t kReaders = 4;
 constexpr double kClientQps = 2000;
 constexpr size_t kClientBatch = 16;
@@ -56,39 +82,37 @@ struct Observation {
   ServeResult result;
 };
 
-std::vector<EdgeUpdate> MakeWorkload() {
-  EdgeList edges = ErdosRenyiGnm(32768, 500000, 5150);
-  EdgeListStream base(edges);
-  SlidingWindowUpdateStream windowed(base, 250000);
+std::vector<EdgeUpdate> MakeWorkload(EdgeId edges, EdgeId window) {
+  EdgeList graph = ErdosRenyiGnm(32768, edges, 5150);
+  EdgeListStream base(graph);
+  SlidingWindowUpdateStream windowed(base, window);
   std::vector<EdgeUpdate> updates;
-  updates.reserve(750000);
+  updates.reserve(2 * edges - window);
   windowed.Reset();
   EdgeUpdate u;
   while (windowed.Next(&u)) updates.push_back(u);
   return updates;
 }
 
-/// Best-of-2 replay with no serving attached: the standalone baseline the
-/// 80% gate compares against.
-StatusOr<double> StandaloneUpdatesPerSec(const std::vector<EdgeUpdate>& updates,
-                                         NodeId num_nodes) {
-  double best = 0;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    auto engine = DynamicDensest::Create(num_nodes);
-    if (!engine.ok()) return engine.status();
-    MemoryUpdateStream stream(updates, num_nodes);
-    ReplayOptions opt;
-    opt.query_every = 0;
-    auto report = ReplayUpdates(stream, **engine, opt);
-    if (!report.ok()) return report.status();
-    best = std::max(best, report->updates_per_sec);
-  }
-  return best;
+/// Writer-thread CPU seconds of one replay with no serving attached.
+StatusOr<double> StandaloneCpuSeconds(const std::vector<EdgeUpdate>& updates,
+                                      NodeId num_nodes) {
+  auto engine = DynamicDensest::Create(num_nodes);
+  if (!engine.ok()) return engine.status();
+  MemoryUpdateStream stream(updates, num_nodes);
+  ReplayOptions opt;
+  opt.query_every = 0;
+  const double t0 = bench::ThreadCpuSeconds();
+  auto report = ReplayUpdates(stream, **engine, opt);
+  const double cpu_s = bench::ThreadCpuSeconds() - t0;
+  if (!report.ok()) return report.status();
+  return cpu_s;
 }
 
 /// What one serving run produced.
 struct ServingRun {
   double updates_per_sec = 0;
+  double writer_cpu_s = 0;  // the writer thread's CPU time for the replay
   uint64_t publications = 0;
   uint64_t batches_ok = 0;
   uint64_t batches_shed = 0;
@@ -121,7 +145,9 @@ StatusOr<ServingRun> RunServing(const std::vector<EdgeUpdate>& updates,
   std::atomic<bool> writer_done{false};
   StatusOr<ReplayReport> report = Status::Internal("writer did not run");
   std::thread writer([&] {
+    const double t0 = bench::ThreadCpuSeconds();
     report = ReplayUpdates(stream, **engine, ropt);
+    run.writer_cpu_s = bench::ThreadCpuSeconds() - t0;
     writer_done.store(true, std::memory_order_release);
   });
 
@@ -234,47 +260,97 @@ uint64_t CountTornReads(const ServingRun& run) {
   return torn;
 }
 
+/// Runs `pairs` interleaved (without, with) trial pairs — `trial(i, with)`
+/// returns the writer's CPU seconds for pair i — and appends each pair's
+/// cost 1 - t_without / t_with to `costs`.
+template <typename TrialFn>
+Status AddPairedCosts(size_t pairs, TrialFn trial, std::vector<double>& costs) {
+  for (size_t i = 0; i < pairs; ++i) {
+    double t[2];  // [0] without the cost, [1] with it
+    for (size_t k = 0; k < 2; ++k) {
+      const bool with = (i + k) % 2 == 1;
+      StatusOr<double> cpu_s = trial(i, with);
+      if (!cpu_s.ok()) return cpu_s.status();
+      t[with] = *cpu_s;
+    }
+    costs.push_back(1.0 - t[0] / t[1]);
+  }
+  return Status::OK();
+}
+
 int RunSmoke() {
   bench::Banner("Serving tier [smoke]",
                 "writer throughput under concurrent readers + torn-read gate");
   bench::BenchJson json("serve");
   bool ok = true;
 
-  const std::vector<EdgeUpdate> updates = MakeWorkload();
+  const std::vector<EdgeUpdate> updates =
+      MakeWorkload(kGateEdges, kGateWindow);
   const NodeId num_nodes = 32768;
-
-  StatusOr<double> standalone = StandaloneUpdatesPerSec(updates, num_nodes);
-  if (!standalone.ok()) {
-    std::printf("FAIL: %s\n", standalone.status().ToString().c_str());
+  const double num_updates = static_cast<double>(updates.size());
+  auto fail = [](const Status& s) {
+    std::printf("FAIL: %s\n", s.ToString().c_str());
     return 1;
-  }
-  std::printf("standalone writer: %.2fM updates/s (best of 2)\n",
-              *standalone / 1e6);
-  json.Add("standalone_updates_per_sec", *standalone);
+  };
 
   // Observability overhead gate: the writer with the metrics registry live
-  // (tracing idle) must stay within 2% of the same replay with the
+  // (tracing idle) must cost less than 2% against the same replay with the
   // registry disabled. The per-update apply path is metric-free —
   // instrumentation diffs engine stats per batch — so a breach means a
-  // metric write crept into the update loop.
-  obs::MetricsRegistry::Get().set_enabled(false);
-  StatusOr<double> metrics_off = StandaloneUpdatesPerSec(updates, num_nodes);
-  obs::MetricsRegistry::Get().set_enabled(true);
-  if (!metrics_off.ok()) {
-    std::printf("FAIL: %s\n", metrics_off.status().ToString().c_str());
-    return 1;
+  // metric write crept into the update loop. Each round, two fresh engines
+  // replay the same chunks, one with the registry live and one with it
+  // disabled, so a pair's two trials do the same work; the engines swap
+  // roles between rounds, so neither's memory placement biases the gate.
+  std::vector<std::vector<EdgeUpdate>> chunks;
+  for (size_t at = 0; at < updates.size(); at += kObsChunk) {
+    chunks.emplace_back(updates.begin() + at,
+                        updates.begin() + std::min(at + kObsChunk,
+                                                   updates.size()));
   }
-  const double obs_overhead =
-      *metrics_off > 0 ? 1.0 - *standalone / *metrics_off : 0.0;
-  std::printf("obs overhead: metrics-on %.2fM vs metrics-off %.2fM updates/s "
-              "(%+.2f%%, gate < 2%%)\n",
-              *standalone / 1e6, *metrics_off / 1e6, 100 * obs_overhead);
-  json.Add("obs.metrics_off_updates_per_sec", *metrics_off);
-  json.Add("obs.overhead_frac", obs_overhead);
-  if (obs_overhead > 0.02) {
-    std::printf("FAIL: metrics-on writer is %.2f%% slower than metrics-off "
-                "(gate: 2%%)\n",
-                100 * obs_overhead);
+  std::vector<double> obs_costs;
+  double off_s = 0;
+  for (int round = 0; round < kObsRounds; ++round) {
+    std::unique_ptr<DynamicDensest> engines[2];
+    for (auto& engine : engines) {
+      auto created = DynamicDensest::Create(num_nodes);
+      if (!created.ok()) return fail(created.status());
+      engine = std::move(*created);
+    }
+    Status s = AddPairedCosts(
+        chunks.size(),
+        [&](size_t i, bool with) -> StatusOr<double> {
+          obs::MetricsRegistry::Get().set_enabled(with);
+          MemoryUpdateStream stream(chunks[i], num_nodes);
+          ReplayOptions opt;
+          opt.query_every = 0;
+          const double t0 = bench::ThreadCpuSeconds();
+          auto report =
+              ReplayUpdates(stream, *engines[(round + with) % 2], opt);
+          const double cpu_s = bench::ThreadCpuSeconds() - t0;
+          if (!report.ok()) return report.status();
+          if (!with) off_s += cpu_s;
+          return cpu_s;
+        },
+        obs_costs);
+    if (!s.ok()) return fail(s);
+  }
+  obs::MetricsRegistry::Get().set_enabled(true);
+  const bench::MedianCi obs = bench::BootstrapMedianCi(obs_costs);
+  std::printf("obs overhead: metrics-off writer %.2fM updates per CPU-s; "
+              "median paired cost %+.2f%% (95%% CI %+.2f%% .. %+.2f%%; %zu "
+              "pairs of %zu updates; gate: CI upper < %.0f%%)\n",
+              kObsRounds * num_updates / off_s / 1e6, 100 * obs.median,
+              100 * obs.lo, 100 * obs.hi, obs_costs.size(), kObsChunk,
+              100 * kMaxObsCost);
+  json.Add("obs.metrics_off_updates_per_cpu_s",
+           kObsRounds * num_updates / off_s);
+  json.Add("obs.overhead_frac", obs.median);
+  json.Add("obs.overhead_ci_lo", obs.lo);
+  json.Add("obs.overhead_ci_hi", obs.hi);
+  if (obs.hi >= kMaxObsCost) {
+    std::printf("FAIL: the metrics-on writer may be %.0f%% or more slower "
+                "than metrics-off (median %+.2f%%, 95%% CI upper %+.2f%%)\n",
+                100 * kMaxObsCost, 100 * obs.median, 100 * obs.hi);
     ok = false;
   }
 
@@ -282,69 +358,93 @@ int RunSmoke() {
   // CI artifact next to the metrics exposition.
   obs::TraceRecorder::Get().Start();
 
-  // Best-of-2 like the standalone side, so the gate compares like with
-  // like on a noisy shared runner. Every attempt's observations get the
-  // torn-read audit; only the faster attempt's numbers are reported.
-  StatusOr<ServingRun> serving = Status::Internal("never ran");
+  // Serving-cost gate: standalone replays paired with replays under
+  // concurrent serving. Every serving trial's observations get the
+  // torn-read audit; the last trial's service numbers are reported.
+  double standalone_s = 0;
+  double serving_s = 0;
   uint64_t torn = 0;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    StatusOr<ServingRun> r =
-        RunServing(updates, num_nodes, kReaders, /*keep_observations=*/true);
-    if (!r.ok()) {
-      std::printf("FAIL: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    torn += CountTornReads(*r);
-    if (!serving.ok() || r->updates_per_sec > serving->updates_per_sec) {
-      serving = std::move(r);
-    }
-  }
-  const double ratio =
-      *standalone > 0 ? serving->updates_per_sec / *standalone : 0;
-  json.Add("serving_updates_per_sec", serving->updates_per_sec);
-  json.Add("serving_ratio", ratio);
-  json.Add("publications", static_cast<double>(serving->publications));
-  json.Add("queries_served", static_cast<double>(serving->stats.queries_served));
-  json.Add("batches_shed", static_cast<double>(serving->batches_shed));
-  json.Add("latency_p50_us", serving->stats.latency_p50_us);
-  json.Add("latency_p99_us", serving->stats.latency_p99_us);
+  uint64_t observations = 0;
+  uint64_t queries_served = 0;
+  uint64_t batches_ok = 0;
+  uint64_t batches_shed = 0;
+  ServingRun last;
+  std::vector<double> serving_costs;
+  Status serving_status = AddPairedCosts(
+      kServingPairs,
+      [&](size_t, bool with) -> StatusOr<double> {
+        if (!with) {
+          StatusOr<double> cpu_s = StandaloneCpuSeconds(updates, num_nodes);
+          if (cpu_s.ok()) standalone_s += *cpu_s;
+          return cpu_s;
+        }
+        StatusOr<ServingRun> r = RunServing(updates, num_nodes, kReaders,
+                                            /*keep_observations=*/true);
+        if (!r.ok()) return r.status();
+        torn += CountTornReads(*r);
+        observations += r->observations.size();
+        queries_served += r->stats.queries_served;
+        batches_ok += r->batches_ok;
+        batches_shed += r->batches_shed;
+        serving_s += r->writer_cpu_s;
+        last = std::move(*r);
+        return last.writer_cpu_s;
+      },
+      serving_costs);
+  if (!serving_status.ok()) return fail(serving_status);
+  const bench::MedianCi serving_cost = bench::BootstrapMedianCi(serving_costs);
+  const double pair_updates = num_updates * kServingPairs;
+  json.Add("standalone_updates_per_cpu_s", pair_updates / standalone_s);
+  json.Add("serving_updates_per_cpu_s", pair_updates / serving_s);
+  json.Add("serving_cost_frac", serving_cost.median);
+  json.Add("serving_cost_ci_lo", serving_cost.lo);
+  json.Add("serving_cost_ci_hi", serving_cost.hi);
+  json.Add("publications", static_cast<double>(last.publications));
+  json.Add("queries_served", static_cast<double>(queries_served));
+  json.Add("batches_shed", static_cast<double>(batches_shed));
+  json.Add("latency_p50_us", last.stats.latency_p50_us);
+  json.Add("latency_p99_us", last.stats.latency_p99_us);
   std::printf(
-      "serving writer (%zu readers, %.0f qps client): %.2fM updates/s "
-      "(%.0f%% of standalone, gate >=%.0f%%), %llu publications\n",
-      kReaders, kClientQps, serving->updates_per_sec / 1e6, 100 * ratio,
-      100 * kMinServingRatio,
-      static_cast<unsigned long long>(serving->publications));
+      "serving writer (%zu readers, %.0f qps client): standalone %.2fM vs "
+      "serving %.2fM updates per CPU-s; median paired cost %+.2f%% (95%% CI "
+      "%+.2f%% .. %+.2f%%; %d pairs; gate: CI upper < %.0f%%)\n",
+      kReaders, kClientQps, pair_updates / standalone_s / 1e6,
+      pair_updates / serving_s / 1e6, 100 * serving_cost.median,
+      100 * serving_cost.lo, 100 * serving_cost.hi, kServingPairs,
+      100 * kMaxServingCost);
   std::printf(
-      "client: %llu batches ok, %llu shed; service: %llu queries  "
-      "p50=%.1fus p99=%.1fus\n",
-      static_cast<unsigned long long>(serving->batches_ok),
-      static_cast<unsigned long long>(serving->batches_shed),
-      static_cast<unsigned long long>(serving->stats.queries_served),
-      serving->stats.latency_p50_us, serving->stats.latency_p99_us);
-  if (ratio < kMinServingRatio) {
-    std::printf("FAIL: serving cost the writer more than %.0f%%\n",
-                100 * (1 - kMinServingRatio));
+      "client: %llu batches ok, %llu shed; service: %llu queries; last "
+      "trial %llu publications, p50=%.1fus p99=%.1fus\n",
+      static_cast<unsigned long long>(batches_ok),
+      static_cast<unsigned long long>(batches_shed),
+      static_cast<unsigned long long>(queries_served),
+      static_cast<unsigned long long>(last.publications),
+      last.stats.latency_p50_us, last.stats.latency_p99_us);
+  if (serving_cost.hi >= kMaxServingCost) {
+    std::printf("FAIL: serving may cost the writer %.0f%% or more (median "
+                "%+.2f%%, 95%% CI upper %+.2f%%)\n",
+                100 * kMaxServingCost, 100 * serving_cost.median,
+                100 * serving_cost.hi);
     ok = false;
   }
-  if (serving->stats.queries_served < 100) {
+  if (queries_served < 100) {
     std::printf("FAIL: only %llu queries served; serving never engaged\n",
-                static_cast<unsigned long long>(
-                    serving->stats.queries_served));
+                static_cast<unsigned long long>(queries_served));
     ok = false;
   }
 
-  json.Add("observations", static_cast<double>(serving->observations.size()));
+  json.Add("observations", static_cast<double>(observations));
   json.Add("torn_reads", static_cast<double>(torn));
-  std::printf("torn-read audit: %zu observations vs %zu publications: %llu "
-              "torn\n",
-              serving->observations.size(), serving->writer_log.size(),
+  std::printf("torn-read audit: %llu observations over %d serving trials: "
+              "%llu torn\n",
+              static_cast<unsigned long long>(observations), kServingPairs,
               static_cast<unsigned long long>(torn));
   if (torn > 0) {
     std::printf("FAIL: observed answers diverged from the writer log\n");
     ok = false;
   }
-  if (serving->final_answer.certified &&
-      serving->final_answer.density > serving->final_answer.upper_bound) {
+  if (last.final_answer.certified &&
+      last.final_answer.density > last.final_answer.upper_bound) {
     std::printf("FAIL: final served answer outside its certified band\n");
     ok = false;
   }
@@ -380,7 +480,7 @@ int RunFigure() {
   auto csv = bench::OpenCsv(
       "serve", {"readers", "updates_per_sec", "publications",
                 "queries_served", "latency_p50_us", "latency_p99_us"});
-  const std::vector<EdgeUpdate> updates = MakeWorkload();
+  const std::vector<EdgeUpdate> updates = MakeWorkload(500000, 250000);
   const NodeId num_nodes = 32768;
   for (const size_t readers : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
     StatusOr<ServingRun> run =

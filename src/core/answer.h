@@ -32,7 +32,8 @@ struct Answer {
   NodeId size = 0;
   /// False when the answer carries no certificate: a dynamic engine under
   /// DynamicFallback::kNever with a degraded window, or a batch result
-  /// whose driver recorded no approximation band.
+  /// whose driver recorded no approximation band (a sketched run, or one
+  /// its max_passes cap stopped before peeling ended).
   bool certified = true;
   /// True while a deadline-cancelled recompute is pending in the dynamic
   /// engine: the answer is still certified, but upper_bound is the last

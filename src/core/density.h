@@ -24,6 +24,8 @@ struct PassSnapshot {
   double density = 0;       ///< rho(S) = weight / |S|.
   double threshold = 0;     ///< removal threshold used in this pass.
   NodeId removed = 0;       ///< |A(S)| nodes removed at the end of the pass.
+
+  bool operator==(const PassSnapshot&) const = default;
 };
 
 /// \brief Output of the undirected algorithms (Algorithms 1 and 2,
@@ -42,9 +44,10 @@ struct [[nodiscard]] UndirectedDensestResult {
   /// The driver's approximation guarantee: rho* <= certified_band *
   /// density. Set at result construction from the algorithm's proven
   /// factor — 2(1+eps) for Algorithm 1, 3(1+eps) for Algorithm 2, 2 for
-  /// Charikar / max-core. 0 = no recorded band (e.g. the sketched variant,
-  /// whose oracle estimates void the deterministic proof); ToAnswer() then
-  /// reports the answer uncertified.
+  /// Charikar / max-core — but only when peeling ran to its own end: the
+  /// proofs need it. 0 = no recorded band: a run stopped by max_passes,
+  /// or the sketched variant, whose oracle estimates void the deterministic
+  /// proof; ToAnswer() then reports the answer uncertified.
   double certified_band = 0;
   /// Per-pass trace (empty if tracing was disabled).
   std::vector<PassSnapshot> trace;
@@ -65,6 +68,8 @@ struct DirectedPassSnapshot {
   double density = 0;       ///< rho(S,T).
   bool removed_from_s = false;  ///< whether this pass peeled A(S) or B(T).
   NodeId removed = 0;
+
+  bool operator==(const DirectedPassSnapshot&) const = default;
 };
 
 /// \brief Output of the directed algorithm (Algorithm 3) for one ratio c.
@@ -77,7 +82,8 @@ struct [[nodiscard]] DirectedDensestResult {
   /// The size ratio c this run assumed.
   double c = 1.0;
   /// rho*(c) <= certified_band * density for this c (2(1+eps) for
-  /// Algorithm 3); 0 = no recorded band. See UndirectedDensestResult.
+  /// Algorithm 3, once S or T ran empty); 0 = no recorded band, as for a
+  /// run stopped by max_passes. See UndirectedDensestResult.
   double certified_band = 0;
   std::vector<DirectedPassSnapshot> trace;
 

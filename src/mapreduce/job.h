@@ -170,8 +170,7 @@ class ChainRecordSource : public RecordSource<K, V> {
   bool on_second_ = false;
 };
 
-/// \brief Shared execution context: thread pool, cost model, accumulated
-/// cluster statistics across all jobs run through it.
+/// \brief Shared execution context: thread pool and cost model.
 class MapReduceEnv {
  public:
   /// `threads` local execution threads (0 = hardware concurrency). The
@@ -181,14 +180,10 @@ class MapReduceEnv {
 
   const CostModel& cost_model() const { return model_; }
   ThreadPool& pool() { return pool_; }
-  /// Counters accumulated over every job run through this env.
-  const JobStats& totals() const { return totals_; }
-  void AccumulateTotals(const JobStats& s) { totals_.Accumulate(s); }
 
  private:
   CostModel model_;
   ThreadPool pool_;
-  JobStats totals_;
 };
 
 inline constexpr std::nullptr_t NoCombiner = nullptr;
@@ -246,7 +241,7 @@ uint64_t MapCombineChunk(const std::vector<KV<K1, V1>>& input,
 ///        Pass NoCombiner to skip. Must be associative and commutative for
 ///        the job result to be combiner-invariant.
 /// \param reduce_fn  void(const K2&, const std::vector<V2>&, Emitter<K3,V3>&)
-/// \param stats_out  optional per-job counters (also accumulated into env).
+/// \param stats_out  optional per-job counters.
 ///
 /// Fails only on IO: a bad input source or a failed shuffle spill.
 template <typename K2, typename V2, typename K3, typename V3, typename K1,
@@ -382,7 +377,6 @@ StatusOr<std::vector<KV<K3, V3>>> RunJobOnSource(
   DENSEST_METRIC_COUNTER("mr.spill_bytes").Inc(stats.spill_bytes_written);
   DENSEST_METRIC_COUNTER("mr.reduce_groups").Inc(stats.reduce_input_groups);
 
-  env.AccumulateTotals(stats);
   if (stats_out != nullptr) *stats_out = stats;
   return output;
 }

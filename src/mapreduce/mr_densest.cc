@@ -1,10 +1,9 @@
 #include "mapreduce/mr_densest.h"
 
-#include <cmath>
 #include <memory>
 #include <optional>
 
-#include "graph/subgraph.h"
+#include "core/peel_runs.h"
 #include "mapreduce/stream_source.h"
 #include "stream/memory_stream.h"
 #include "stream/pass_cursor.h"
@@ -52,30 +51,34 @@ JobOptions DriverJobOptions(uint64_t spill_budget_bytes,
   return opts;
 }
 
+/// A run's totals: its passes' counters, not the env's whole history.
+JobStats SumPasses(const std::vector<JobStats>& pass_stats) {
+  JobStats totals;
+  for (const JobStats& s : pass_stats) totals.Accumulate(s);
+  return totals;
+}
+
 }  // namespace
 
 StatusOr<MrDensestResult> RunMrDensestUndirected(
     MapReduceEnv& env, EdgeStream& stream, const MrDensestOptions& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
+  Algorithm1Options peel_options;
+  peel_options.epsilon = options.epsilon;
+  peel_options.max_passes = options.max_passes;
+  peel_options.record_trace = options.record_trace;
   const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
+  if (Status s = Algorithm1Run::Validate(n, peel_options); !s.ok()) return s;
 
   MrDensestResult out;
-  NodeSet alive(n, /*full=*/true);
-  NodeSet best = alive;
-  double best_density = -1.0;
+  UndirectedPeel peel(n, peel_options.epsilon, peel_options.max_passes,
+                      peel_options.record_trace);
   PassCursor cursor(stream);
   DriverInput input(cursor);
   const JobOptions base_opts =
       DriverJobOptions(options.spill_budget_bytes, options.spill_dir);
 
-  const double factor = 2.0 * (1.0 + options.epsilon);
-  std::vector<EdgeId> deg(n, 0);
-  uint64_t pass = 0;
-  while (!alive.empty() && pass < options.max_passes) {
-    ++pass;
+  std::vector<double> deg(n, 0.0);
+  while (!peel.done()) {
     JobStats pass_stats;
 
     // Job 1 (§5.2 "density"): count the surviving edges.
@@ -89,43 +92,18 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     // so the shuffle carries O(|V_alive|) records per chunk, not O(|E|).
     JobStats degree_stats;
     JobOptions degree_opts = base_opts;
-    degree_opts.reduce_output_hint = alive.size();
+    degree_opts.reduce_output_hint = peel.alive().size();
     StatusOr<std::vector<KV<NodeId, EdgeId>>> degrees =
         MrDegreeJobCombined(env, input.source(), degree_opts, &degree_stats);
     if (!degrees.ok()) return degrees.status();
     pass_stats.Accumulate(degree_stats);
 
-    const double rho =
-        static_cast<double>(*m) / static_cast<double>(alive.size());
-    if (rho > best_density) {
-      best_density = rho;
-      best = alive;
-    }
-
-    // Driver decision: mark every node at or below the threshold.
-    // (Nodes with no surviving edge have degree 0 and are always marked.)
-    std::fill(deg.begin(), deg.end(), 0);
-    for (const auto& kv : *degrees) deg[kv.key] = kv.value;
-    const double threshold = factor * rho;
+    // Driver decision: Algorithm 1's peel step on the jobs' output. (Nodes
+    // with no surviving edge have degree 0 and are always marked.)
+    std::fill(deg.begin(), deg.end(), 0.0);
+    for (const auto& kv : *degrees) deg[kv.key] = static_cast<double>(kv.value);
     NodeSet marked(n);
-    for (NodeId u = 0; u < n; ++u) {
-      if (alive.Contains(u) && static_cast<double>(deg[u]) <= threshold) {
-        marked.Insert(u);
-        alive.Remove(u);
-      }
-    }
-
-    if (options.record_trace) {
-      PassSnapshot snap;
-      snap.pass = pass;
-      snap.nodes = static_cast<NodeId>(alive.size() + marked.size());
-      snap.edges = *m;
-      snap.weight = static_cast<double>(*m);
-      snap.density = rho;
-      snap.threshold = threshold;
-      snap.removed = marked.size();
-      out.result.trace.push_back(snap);
-    }
+    peel.Step(deg, static_cast<double>(*m), *m, &marked);
 
     // Jobs 3+4 (§5.2 "removal"): delete marked nodes and incident edges.
     if (!marked.empty() && !input.in_memory_empty()) {
@@ -143,12 +121,9 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     out.pass_stats.push_back(pass_stats);
   }
 
-  out.result.nodes = best.ToVector();
-  out.result.density = best_density < 0 ? 0.0 : best_density;
-  out.result.passes = pass;
-  // Same peeling decisions as RunAlgorithm1, so the same Lemma 1 band.
-  out.result.certified_band = 2.0 * (1.0 + options.epsilon);
-  out.totals = env.totals();
+  // Algorithm 1's peel, so Lemma 1's band.
+  out.result = peel.Finish(2.0 * (1.0 + options.epsilon));
+  out.totals = SumPasses(out.pass_stats);
   out.input_scans = cursor.passes();
   return out;
 }
@@ -162,27 +137,23 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
 
 StatusOr<MrDirectedResult> RunMrDensestDirected(
     MapReduceEnv& env, EdgeStream& stream, const MrDirectedOptions& options) {
-  if (options.epsilon < 0) {
-    return Status::InvalidArgument("epsilon must be >= 0");
-  }
-  if (!(options.c > 0)) return Status::InvalidArgument("c must be > 0");
+  Algorithm3Options peel_options;
+  peel_options.c = options.c;
+  peel_options.epsilon = options.epsilon;
+  peel_options.max_passes = options.max_passes;
+  peel_options.record_trace = options.record_trace;
   const NodeId n = stream.num_nodes();
-  if (n == 0) return Status::InvalidArgument("graph has no nodes");
+  if (Status s = Algorithm3Run::Validate(n, peel_options); !s.ok()) return s;
 
   MrDirectedResult out;
-  out.result.c = options.c;
-  NodeSet s(n, /*full=*/true), t(n, /*full=*/true);
-  NodeSet best_s = s, best_t = t;
-  double best_density = -1.0;
+  DirectedPeel peel(n, peel_options);
   PassCursor cursor(stream);
   DriverInput input(cursor);
   const JobOptions base_opts =
       DriverJobOptions(options.spill_budget_bytes, options.spill_dir);
 
-  std::vector<EdgeId> out_deg(n, 0), in_deg(n, 0);
-  uint64_t pass = 0;
-  while (!s.empty() && !t.empty() && pass < options.max_passes) {
-    ++pass;
+  std::vector<double> out_deg(n, 0.0), in_deg(n, 0.0);
+  while (!peel.done()) {
     JobStats pass_stats;
 
     JobStats density_stats;
@@ -193,72 +164,22 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
 
     JobStats degree_stats;
     JobOptions degree_opts = base_opts;
-    degree_opts.reduce_output_hint = s.size() + t.size();
+    degree_opts.reduce_output_hint = peel.s().size() + peel.t().size();
     StatusOr<std::vector<KV<uint64_t, EdgeId>>> degrees =
         MrDirectedDegreeJobCombined(env, input.source(), degree_opts,
                                     &degree_stats);
     if (!degrees.ok()) return degrees.status();
     pass_stats.Accumulate(degree_stats);
 
-    const double rho = static_cast<double>(*m) /
-                       std::sqrt(static_cast<double>(s.size()) *
-                                 static_cast<double>(t.size()));
-    if (rho > best_density) {
-      best_density = rho;
-      best_s = s;
-      best_t = t;
-    }
-
-    std::fill(out_deg.begin(), out_deg.end(), 0);
-    std::fill(in_deg.begin(), in_deg.end(), 0);
+    std::fill(out_deg.begin(), out_deg.end(), 0.0);
+    std::fill(in_deg.begin(), in_deg.end(), 0.0);
     for (const auto& kv : *degrees) {
-      NodeId node = static_cast<NodeId>(kv.key >> 1);
-      if (kv.key & 1) {
-        in_deg[node] = kv.value;
-      } else {
-        out_deg[node] = kv.value;
-      }
+      std::vector<double>& side = (kv.key & 1) ? in_deg : out_deg;
+      side[static_cast<NodeId>(kv.key >> 1)] = static_cast<double>(kv.value);
     }
-
-    const bool peel_s =
-        static_cast<double>(s.size()) / static_cast<double>(t.size()) >=
-        options.c;
     NodeSet marked(n);
-    if (peel_s) {
-      const double threshold = (1.0 + options.epsilon) *
-                               static_cast<double>(*m) /
-                               static_cast<double>(s.size());
-      for (NodeId u = 0; u < n; ++u) {
-        if (s.Contains(u) && static_cast<double>(out_deg[u]) <= threshold) {
-          marked.Insert(u);
-          s.Remove(u);
-        }
-      }
-    } else {
-      const double threshold = (1.0 + options.epsilon) *
-                               static_cast<double>(*m) /
-                               static_cast<double>(t.size());
-      for (NodeId u = 0; u < n; ++u) {
-        if (t.Contains(u) && static_cast<double>(in_deg[u]) <= threshold) {
-          marked.Insert(u);
-          t.Remove(u);
-        }
-      }
-    }
-
-    if (options.record_trace) {
-      DirectedPassSnapshot snap;
-      snap.pass = pass;
-      snap.s_size = peel_s ? static_cast<NodeId>(s.size() + marked.size())
-                           : s.size();
-      snap.t_size = peel_s ? t.size()
-                           : static_cast<NodeId>(t.size() + marked.size());
-      snap.weight = static_cast<double>(*m);
-      snap.density = rho;
-      snap.removed_from_s = peel_s;
-      snap.removed = marked.size();
-      out.result.trace.push_back(snap);
-    }
+    const bool peel_s =
+        peel.Step(out_deg, in_deg, static_cast<double>(*m), &marked);
 
     if (!marked.empty() && !input.in_memory_empty()) {
       JobStats removal_stats;
@@ -275,13 +196,8 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
     out.pass_stats.push_back(pass_stats);
   }
 
-  out.result.s_nodes = best_s.ToVector();
-  out.result.t_nodes = best_t.ToVector();
-  out.result.density = best_density < 0 ? 0.0 : best_density;
-  out.result.passes = pass;
-  // Same peeling decisions as RunAlgorithm3, so the same Theorem 6 band.
-  out.result.certified_band = 2.0 * (1.0 + options.epsilon);
-  out.totals = env.totals();
+  out.result = peel.Finish();
+  out.totals = SumPasses(out.pass_stats);
   out.input_scans = cursor.passes();
   return out;
 }

@@ -1,8 +1,12 @@
 // Copyright 2026 The densest Authors.
 // Full MapReduce realizations of Algorithm 1 (undirected) and Algorithm 3
-// (directed): the drivers orchestrate the §5.2 jobs pass by pass, exactly
-// mirroring the streaming algorithms' decisions, and collect the simulated
-// per-pass cluster time (Figure 6.7).
+// (directed): the drivers orchestrate the §5.2 jobs pass by pass and
+// collect the simulated per-pass cluster time (Figure 6.7). The jobs only
+// compute a pass's edge count and degrees; every decision — best subgraph,
+// threshold, peel, trace, end of run, band — is made by the same peel step
+// the streaming algorithms take (UndirectedPeel / DirectedPeel in
+// core/peel_runs.h), and options are checked by the same
+// Algorithm1Run::Validate / Algorithm3Run::Validate.
 //
 // The drivers read EdgeStreams: the first pass's jobs each scan the input
 // through a StreamRecordSource (binary file, generator, or in-memory
@@ -30,6 +34,8 @@ namespace densest {
 /// \brief Knobs for the undirected MapReduce driver.
 struct MrDensestOptions {
   double epsilon = 1.0;
+  /// Safety cap on passes (0 = uncapped), as Algorithm1Options::max_passes;
+  /// a capped run carries no certified band.
   uint64_t max_passes = 1000;
   bool record_trace = true;
   /// Shuffle spill budget per job in bytes (see
@@ -48,7 +54,7 @@ struct [[nodiscard]] MrDensestResult {
   /// Aggregated job counters per pass (parallel to pass_seconds); the
   /// combiner/spill gates read these.
   std::vector<JobStats> pass_stats;
-  /// Aggregate counters over all jobs.
+  /// Counters summed over this run's jobs (the sum of pass_stats).
   JobStats totals;
   /// Physical scans of the input stream (each first-pass job re-scans it;
   /// once the removal job has materialized the survivors, later passes run
@@ -57,9 +63,10 @@ struct [[nodiscard]] MrDensestResult {
 };
 
 /// Runs the MapReduce version of Algorithm 1 over an edge stream.
-/// Produces exactly the same subgraph as RunAlgorithm1 with the same
-/// epsilon (the drivers make identical decisions); only the execution
-/// substrate differs. Unweighted edges only (weights are ignored).
+/// Produces exactly the same subgraph, passes and trace as RunAlgorithm1
+/// with the same epsilon and cap (both take Algorithm 1's peel step); only
+/// the execution substrate differs. Unweighted edges only (weights are
+/// ignored).
 StatusOr<MrDensestResult> RunMrDensestUndirected(MapReduceEnv& env,
                                                  EdgeStream& stream,
                                                  const MrDensestOptions& options);
@@ -73,6 +80,8 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(MapReduceEnv& env,
 struct MrDirectedOptions {
   double c = 1.0;
   double epsilon = 1.0;
+  /// Safety cap on passes (0 = uncapped), as Algorithm3Options::max_passes;
+  /// a capped run carries no certified band.
   uint64_t max_passes = 1000;
   bool record_trace = true;
   /// See MrDensestOptions.
@@ -90,7 +99,8 @@ struct [[nodiscard]] MrDirectedResult {
 };
 
 /// Runs the MapReduce version of Algorithm 3 over an arc stream.
-/// Matches RunAlgorithm3 with the same options (size-ratio rule).
+/// Matches RunAlgorithm3 with the same options (size-ratio rule), trace
+/// included.
 StatusOr<MrDirectedResult> RunMrDensestDirected(MapReduceEnv& env,
                                                 EdgeStream& stream,
                                                 const MrDirectedOptions& options);

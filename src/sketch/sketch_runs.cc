@@ -11,24 +11,16 @@ namespace densest {
 SketchedAlgorithm1Run::SketchedAlgorithm1Run(
     NodeId n, std::unique_ptr<DegreeOracle> oracle,
     const Algorithm1Options& options)
-    : options_(options),
-      n_(n),
-      owned_oracle_(std::move(oracle)),
-      oracle_(owned_oracle_.get()),
-      alive_(n, /*full=*/true),
-      best_(alive_) {
-  done_ = alive_.empty();
+    : SketchedAlgorithm1Run(n, *oracle, options) {
+  owned_oracle_ = std::move(oracle);
 }
 
 SketchedAlgorithm1Run::SketchedAlgorithm1Run(NodeId n, DegreeOracle& oracle,
                                              const Algorithm1Options& options)
-    : options_(options),
-      n_(n),
+    : n_(n),
+      epsilon_(options.epsilon),
       oracle_(&oracle),
-      alive_(n, /*full=*/true),
-      best_(alive_) {
-  done_ = alive_.empty();
-}
+      peel_(n, options.epsilon, options.max_passes, options.record_trace) {}
 
 void SketchedAlgorithm1Run::BeginPass() {
   oracle_->BeginPass();
@@ -37,7 +29,7 @@ void SketchedAlgorithm1Run::BeginPass() {
 }
 
 void SketchedAlgorithm1Run::AccumulateShard(const Shard& shard, size_t) {
-  VisitSurvivors(shard, alive_, [&](const Edge& e) {
+  VisitSurvivors(shard, peel_.alive(), [&](const Edge& e) {
     oracle_->AddIncidence(e.u, e.w);
     oracle_->AddIncidence(e.v, e.w);
     weight_ += e.w;
@@ -46,24 +38,16 @@ void SketchedAlgorithm1Run::AccumulateShard(const Shard& shard, size_t) {
 }
 
 void SketchedAlgorithm1Run::FinishPass() {
-  ++pass_;
-  const double rho = weight_ / static_cast<double>(alive_.size());
-  if (rho > best_density_) {
-    best_density_ = rho;
-    best_ = alive_;
-  }
-
-  const double factor = 2.0 * (1.0 + options_.epsilon);
-  const double threshold = factor * rho;
+  const double threshold = peel_.Open(weight_, edges_);
+  const NodeSet& alive = peel_.alive();
   std::vector<std::pair<double, NodeId>> estimates;
-  estimates.reserve(alive_.size());
-  NodeId removed = 0;
+  estimates.reserve(alive.size());
+  const NodeId alive_before = alive.size();
   for (NodeId u = 0; u < n_; ++u) {
-    if (!alive_.Contains(u)) continue;
+    if (!alive.Contains(u)) continue;
     double est = oracle_->EstimateDegree(u);
     if (est <= threshold) {
-      alive_.Remove(u);
-      ++removed;
+      peel_.Remove(u);
     } else {
       estimates.emplace_back(est, u);
     }
@@ -73,48 +57,29 @@ void SketchedAlgorithm1Run::FinishPass() {
   // the way Algorithm 2 does: drop the lowest-estimate nodes, at least a
   // 1/16 fraction (or eps/(1+eps) if that is larger), so the pass count
   // stays O(log |S|) even under heavy sketch noise.
-  if (removed == 0 && !estimates.empty()) {
-    double fraction =
-        std::max(options_.epsilon / (1.0 + options_.epsilon), 1.0 / 16.0);
+  if (estimates.size() == alive_before && !estimates.empty()) {
+    double fraction = std::max(epsilon_ / (1.0 + epsilon_), 1.0 / 16.0);
     size_t quota = static_cast<size_t>(
         fraction * static_cast<double>(estimates.size()));
     quota = std::min(std::max<size_t>(quota, 1), estimates.size());
     std::nth_element(estimates.begin(), estimates.begin() + (quota - 1),
                      estimates.end());
-    for (size_t i = 0; i < quota; ++i) {
-      alive_.Remove(estimates[i].second);
-      ++removed;
-    }
+    for (size_t i = 0; i < quota; ++i) peel_.Remove(estimates[i].second);
   }
-
-  if (options_.record_trace) {
-    PassSnapshot snap;
-    snap.pass = pass_;
-    snap.nodes = static_cast<NodeId>(alive_.size() + removed);
-    snap.edges = edges_;
-    snap.weight = weight_;
-    snap.density = rho;
-    snap.threshold = threshold;
-    snap.removed = removed;
-    result_.result.trace.push_back(snap);
-  }
-
-  done_ = alive_.empty() ||
-          (options_.max_passes != 0 && pass_ >= options_.max_passes);
+  peel_.Close();
 }
 
 SketchedResult SketchedAlgorithm1Run::TakeResult() {
-  result_.result.nodes = best_.ToVector();
-  result_.result.density = best_density_ < 0 ? 0.0 : best_density_;
-  result_.result.passes = pass_;
-  result_.result.io_passes = pass_;  // oracle runs always scan the stream
-  // certified_band stays 0: the oracle's degree estimates carry relative
-  // error, which voids Lemma 1's deterministic proof — the sketched answer
-  // is served uncertified (Answer::certified == false).
-  result_.oracle_state_words = oracle_->StateWords();
-  result_.memory_ratio = static_cast<double>(result_.oracle_state_words) /
-                         static_cast<double>(n_);
-  return std::move(result_);
+  SketchedResult result;
+  // Band 0: the oracle's degree estimates carry relative error, which
+  // voids Lemma 1's deterministic proof — the sketched answer is served
+  // uncertified (Answer::certified == false).
+  result.result = peel_.Finish(/*band=*/0.0);
+  result.result.io_passes = result.result.passes;  // oracle runs always scan
+  result.oracle_state_words = oracle_->StateWords();
+  result.memory_ratio = static_cast<double>(result.oracle_state_words) /
+                        static_cast<double>(n_);
+  return result;
 }
 
 StatusOr<std::vector<SketchedResult>> RunSketchedSweep(

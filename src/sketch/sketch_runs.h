@@ -25,7 +25,7 @@
 #include "core/algorithm1.h"
 #include "core/multi_run.h"
 #include "core/pass_engine.h"
-#include "graph/subgraph.h"
+#include "core/peel_runs.h"
 #include "sketch/degree_oracle.h"
 #include "sketch/sketched_algorithm1.h"
 
@@ -45,31 +45,26 @@ class SketchedAlgorithm1Run final : public FusedRun {
   SketchedAlgorithm1Run(NodeId n, DegreeOracle& oracle,
                         const Algorithm1Options& options);
 
-  bool done() const override { return done_; }
+  bool done() const override { return peel_.done(); }
   void BeginPass() override;
   void AccumulateShard(const Shard& shard, size_t slot) override;
   bool parallel_shards() const override { return false; }
-  /// Updates the best subgraph, peels nodes whose oracle degree estimate
-  /// is below the threshold (forcing geometric progress under heavy sketch
-  /// noise), records the trace, and decides whether the run is finished.
+  /// Peels nodes whose oracle degree estimate is below the threshold
+  /// (forcing geometric progress under heavy sketch noise) through the
+  /// Algorithm 1 peel step.
   void FinishPass() override;
 
   /// Finalizes the result (call once, after done()).
   SketchedResult TakeResult();
 
  private:
-  Algorithm1Options options_;
   NodeId n_;
+  double epsilon_;
   std::unique_ptr<DegreeOracle> owned_oracle_;
   DegreeOracle* oracle_;
-  NodeSet alive_;
-  NodeSet best_;
-  double best_density_ = -1.0;
-  uint64_t pass_ = 0;
-  bool done_ = false;
+  UndirectedPeel peel_;
   double weight_ = 0.0;  // exact pass aggregates
   EdgeId edges_ = 0;
-  SketchedResult result_;
 };
 
 /// \brief One configuration of the fused Table 4 sweep.

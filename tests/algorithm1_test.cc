@@ -173,6 +173,35 @@ TEST(Algorithm1Test, MaxPassesCapRespected) {
   EXPECT_EQ(r->passes, 2u);
 }
 
+TEST(Algorithm1Test, CappedRunIsUncertified) {
+  // 495 disjoint edges plus a K10 (rho* = 4.5): one eps = 0 pass peels the
+  // matching and keeps S = V at rho 0.54, where Lemma 1 would claim
+  // rho* <= 1.08 — a band only a run that peels to its end has earned.
+  EdgeList el(1000);
+  for (NodeId u = 0; u < 990; u += 2) el.Add(u, u + 1);
+  for (NodeId i = 990; i < 1000; ++i) {
+    for (NodeId j = i + 1; j < 1000; ++j) el.Add(i, j);
+  }
+  UndirectedGraph g = BuildUndirected(el);
+  Algorithm1Options opt;
+  opt.epsilon = 0.0;
+  opt.max_passes = 1;
+  auto capped = RunAlgorithm1(g, opt);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped->passes, 1u);
+  EXPECT_DOUBLE_EQ(capped->density, 0.54);
+  EXPECT_EQ(capped->certified_band, 0.0);
+  EXPECT_FALSE(capped->ToAnswer().certified);
+
+  opt.max_passes = 0;  // uncapped
+  auto full = RunAlgorithm1(g, opt);
+  ASSERT_TRUE(full.ok());
+  EXPECT_EQ(full->passes, 2u);
+  EXPECT_DOUBLE_EQ(full->density, 4.5);
+  EXPECT_TRUE(full->ToAnswer().certified);
+  EXPECT_DOUBLE_EQ(full->ToAnswer().upper_bound, 9.0);
+}
+
 TEST(Algorithm1Test, SameResultAcrossStreamBackends) {
   EdgeList el = ErdosRenyiGnm(300, 2000, 55);
   UndirectedGraph g = BuildUndirected(el);

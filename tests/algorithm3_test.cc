@@ -111,6 +111,34 @@ TEST(Algorithm3Test, MaxDegreeRuleAlsoSatisfiesGuarantee) {
             std::sqrt(300.0) * (1 - 1e-9));
 }
 
+TEST(Algorithm3Test, CappedRunIsUncertified) {
+  // Arcs u -> u+1 over a matching of 990 nodes plus a complete K10
+  // digraph (rho*(1) = 9): one eps = 0 pass at c = 1 peels only the
+  // matching's sinks from S, so the capped run keeps rho 0.585.
+  GraphBuilder b;
+  for (NodeId u = 0; u < 990; u += 2) b.Add(u, u + 1);
+  for (NodeId i = 990; i < 1000; ++i) {
+    for (NodeId j = 990; j < 1000; ++j) {
+      if (i != j) b.Add(i, j);
+    }
+  }
+  DirectedGraph g = std::move(b.BuildDirected()).value();
+  Algorithm3Options opt{.c = 1.0, .epsilon = 0.0, .max_passes = 1};
+  auto capped = RunAlgorithm3(g, opt);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped->passes, 1u);
+  EXPECT_DOUBLE_EQ(capped->density, 0.585);
+  EXPECT_EQ(capped->certified_band, 0.0);
+  EXPECT_FALSE(capped->ToAnswer().certified);
+
+  opt.max_passes = 0;  // uncapped
+  auto full = RunAlgorithm3(g, opt);
+  ASSERT_TRUE(full.ok());
+  EXPECT_DOUBLE_EQ(full->density, 9.0);
+  EXPECT_DOUBLE_EQ(full->certified_band, 2.0);
+  EXPECT_TRUE(full->ToAnswer().certified);
+}
+
 TEST(Algorithm3Test, InvalidArguments) {
   DirectedGraph g = TwoNodeCycle();
   EXPECT_FALSE(RunAlgorithm3(g, {.c = 0.0}).ok());

@@ -287,6 +287,9 @@ TEST_P(MrUndirectedEquivalenceTest, MatchesStreamingAlgorithm1) {
   EXPECT_EQ(mr->result.nodes, streaming->nodes) << "seed=" << seed;
   EXPECT_DOUBLE_EQ(mr->result.density, streaming->density);
   EXPECT_EQ(mr->result.passes, streaming->passes);
+  ASSERT_EQ(streaming->trace.size(), streaming->passes);
+  EXPECT_EQ(mr->result.trace, streaming->trace);  // every snapshot field
+  EXPECT_EQ(mr->result.certified_band, streaming->certified_band);
   EXPECT_EQ(mr->pass_seconds.size(), mr->result.passes);
   for (double s : mr->pass_seconds) EXPECT_GT(s, 0.0);
 }
@@ -319,6 +322,9 @@ TEST_P(MrDirectedEquivalenceTest, MatchesStreamingAlgorithm3) {
   EXPECT_EQ(mr->result.t_nodes, streaming->t_nodes);
   EXPECT_DOUBLE_EQ(mr->result.density, streaming->density);
   EXPECT_EQ(mr->result.passes, streaming->passes);
+  ASSERT_EQ(streaming->trace.size(), streaming->passes);
+  EXPECT_EQ(mr->result.trace, streaming->trace);  // every snapshot field
+  EXPECT_EQ(mr->result.certified_band, streaming->certified_band);
 }
 
 INSTANTIATE_TEST_SUITE_P(MrDirectedSweep, MrDirectedEquivalenceTest,
@@ -335,6 +341,99 @@ TEST(MrDriverTest, InvalidArguments) {
   MrDirectedOptions bad_dir;
   bad_dir.c = 0;
   EXPECT_FALSE(RunMrDensestDirected(env, el, bad_dir).ok());
+}
+
+/// 495 disjoint edges (arcs u -> u+1) plus a K10 on nodes 990..999, as
+/// undirected edges or, `directed`, with the K10 as a complete digraph.
+EdgeList MatchingPlusK10(bool directed) {
+  EdgeList el(1000);
+  for (NodeId u = 0; u < 990; u += 2) el.Add(u, u + 1);
+  for (NodeId i = 990; i < 1000; ++i) {
+    for (NodeId j = directed ? 990 : i + 1; j < 1000; ++j) {
+      if (i != j) el.Add(i, j);
+    }
+  }
+  return el;
+}
+
+TEST(MrDriverTest, CappedRunsAreUncertified) {
+  // One eps = 0 pass peels only the matching; a run the cap stopped there
+  // has not earned Lemma 1's (or Theorem 6's) band.
+  MapReduceEnv env;
+  MrDensestOptions opt;
+  opt.epsilon = 0.0;
+  opt.max_passes = 1;
+  auto mr = RunMrDensestUndirected(env, MatchingPlusK10(false), opt);
+  ASSERT_TRUE(mr.ok());
+  EXPECT_EQ(mr->result.passes, 1u);
+  EXPECT_DOUBLE_EQ(mr->result.density, 0.54);
+  EXPECT_EQ(mr->result.certified_band, 0.0);
+  EXPECT_FALSE(mr->result.ToAnswer().certified);
+
+  MrDirectedOptions dir_opt;
+  dir_opt.epsilon = 0.0;
+  dir_opt.max_passes = 1;
+  auto dir = RunMrDensestDirected(env, MatchingPlusK10(true), dir_opt);
+  ASSERT_TRUE(dir.ok());
+  EXPECT_EQ(dir->result.passes, 1u);
+  EXPECT_DOUBLE_EQ(dir->result.density, 0.585);
+  EXPECT_EQ(dir->result.certified_band, 0.0);
+  EXPECT_FALSE(dir->result.ToAnswer().certified);
+}
+
+TEST(MrDriverTest, ZeroMaxPassesMeansUncapped) {
+  // As in Algorithm{1,3}Options: 0 lifts the cap, it does not run zero
+  // passes.
+  const EdgeList el = MatchingPlusK10(false);
+  MapReduceEnv env;
+  MrDensestOptions opt;
+  opt.epsilon = 0.0;
+  opt.max_passes = 0;
+  auto mr = RunMrDensestUndirected(env, el, opt);
+  ASSERT_TRUE(mr.ok());
+  EXPECT_EQ(mr->result.passes, 2u);
+  EXPECT_DOUBLE_EQ(mr->result.density, 4.5);
+  EXPECT_EQ(mr->result.nodes.size(), 10u);
+  EXPECT_DOUBLE_EQ(mr->result.ToAnswer().upper_bound, 9.0);
+
+  const EdgeList arcs = MatchingPlusK10(true);
+  MrDirectedOptions dir_opt;
+  dir_opt.epsilon = 0.0;
+  dir_opt.max_passes = 0;
+  auto dir = RunMrDensestDirected(env, arcs, dir_opt);
+  ASSERT_TRUE(dir.ok());
+  auto streaming = RunAlgorithm3(
+      DirectedGraph::FromEdgeList(arcs),
+      Algorithm3Options{.c = 1.0, .epsilon = 0.0, .max_passes = 0});
+  ASSERT_TRUE(streaming.ok());
+  EXPECT_GT(dir->result.passes, 0u);
+  EXPECT_EQ(dir->result.passes, streaming->passes);
+  EXPECT_DOUBLE_EQ(dir->result.density, 9.0);
+  EXPECT_TRUE(dir->result.ToAnswer().certified);
+}
+
+TEST(MrDriverTest, TotalsCoverOneRun) {
+  // totals sums the run's own jobs, not every job the env ever ran.
+  const EdgeList el = ErdosRenyiGnm(200, 1900, 17);
+  MapReduceEnv env;
+  MrDensestOptions opt;
+  auto first = RunMrDensestUndirected(env, el, opt);
+  auto second = RunMrDensestUndirected(env, el, opt);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_GT(first->totals.map_input_records, 0u);
+  EXPECT_EQ(second->totals.map_input_records, first->totals.map_input_records);
+  EXPECT_EQ(second->totals.shuffle_bytes, first->totals.shuffle_bytes);
+  JobStats sum;
+  for (const JobStats& s : first->pass_stats) sum.Accumulate(s);
+  EXPECT_EQ(first->totals.map_input_records, sum.map_input_records);
+
+  auto dir_first = RunMrDensestDirected(env, el, {});
+  auto dir_second = RunMrDensestDirected(env, el, {});
+  ASSERT_TRUE(dir_first.ok());
+  ASSERT_TRUE(dir_second.ok());
+  EXPECT_EQ(dir_second->totals.map_input_records,
+            dir_first->totals.map_input_records);
 }
 
 TEST(MrDriverTest, SimulatedTimeDecaysAcrossPasses) {

@@ -158,6 +158,8 @@ void ExpectMrMatchesStreaming(EdgeStream& stream, double epsilon,
   EXPECT_EQ(mr->result.nodes, streaming->nodes);
   EXPECT_DOUBLE_EQ(mr->result.density, streaming->density);
   EXPECT_EQ(mr->result.passes, streaming->passes);
+  ASSERT_EQ(streaming->trace.size(), streaming->passes);
+  EXPECT_EQ(mr->result.trace, streaming->trace);  // every snapshot field
   EXPECT_GT(mr->input_scans, 0u);
 }
 
@@ -300,12 +302,16 @@ TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
   opts.map_chunk_records =
       size_t{std::numeric_limits<PartialCount>::max() / 2} + 1;
   VectorRecordSource<NodeId, NodeId> source(edges);
-  EXPECT_EQ(MrDegreeJobCombined(env, source, opts).status().code(),
+  JobStats degree_stats, count_stats;
+  EXPECT_EQ(MrDegreeJobCombined(env, source, opts, &degree_stats)
+                .status()
+                .code(),
             Status::Code::kInvalidArgument);
-  EXPECT_EQ(MrCountEdgesJob(env, source, opts).status().code(),
+  EXPECT_EQ(MrCountEdgesJob(env, source, opts, &count_stats).status().code(),
             Status::Code::kInvalidArgument);
   // Nothing ran: the refusal comes before the map phase.
-  EXPECT_EQ(env.totals().map_input_records, 0u);
+  EXPECT_EQ(degree_stats.map_input_records, 0u);
+  EXPECT_EQ(count_stats.map_input_records, 0u);
 }
 
 TEST(MrCombinerTest, DirectedDegreeCombinedMatchesPlain) {
