@@ -106,12 +106,13 @@ void UndirectedPeel::Close() {
   done_ = ended_ || (max_passes_ != 0 && pass_ >= max_passes_);
 }
 
-UndirectedDensestResult UndirectedPeel::Finish(double band) {
+UndirectedDensestResult UndirectedPeel::Finish() {
   UndirectedDensestResult result;
   result.nodes = best_.ToVector();
   result.density = best_density_ < 0 ? 0.0 : best_density_;
   result.passes = pass_;
-  result.certified_band = ended_ ? band : 0.0;
+  // Lemma 1: rho* <= 2(1+eps) rho(S~).
+  if (ended_) result.certified_band = 2.0 * (1.0 + epsilon_);
   result.trace = std::move(trace_);
   return result;
 }
@@ -245,9 +246,7 @@ void Algorithm1Run::FinishPass() {
 }
 
 UndirectedDensestResult Algorithm1Run::TakeResult() {
-  // Lemma 1: rho* <= 2(1+eps) rho(S~).
-  UndirectedDensestResult result =
-      peel_.Finish(2.0 * (1.0 + options_.epsilon));
+  UndirectedDensestResult result = peel_.Finish();
   result.io_passes = io_passes_;
   return result;
 }
@@ -315,8 +314,12 @@ void Algorithm2Run::FinishPass() {
 }
 
 UndirectedDensestResult Algorithm2Run::TakeResult() {
-  // Theorem 4: rho*_{>=k} <= 3(1+eps) rho(S~) for the at-least-k problem.
-  UndirectedDensestResult result = peel_.Finish(3.0 * (1.0 + epsilon_));
+  UndirectedDensestResult result = peel_.Finish();
+  // Theorem 4: rho*_{>=k} <= 3(1+eps) rho(S~) for the at-least-k problem,
+  // where the peel earned a band at all.
+  if (result.certified_band > 0) {
+    result.certified_band = 3.0 * (1.0 + epsilon_);
+  }
   result.io_passes = result.passes;
   return result;
 }

@@ -66,9 +66,9 @@ class UndirectedPeel {
   void Close();
 
   /// The result: S~, rho(S~), the passes and the trace (call once, after
-  /// done()). `band`, the driver's proven factor, becomes certified_band
-  /// only when the peel ended on its own: the cap voids the proof.
-  UndirectedDensestResult Finish(double band);
+  /// done()), with Lemma 1's band 2(1+eps) only when the peel ended on its
+  /// own: the cap voids the proof.
+  UndirectedDensestResult Finish();
 
  private:
   double epsilon_;

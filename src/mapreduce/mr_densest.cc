@@ -121,8 +121,7 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     out.pass_stats.push_back(pass_stats);
   }
 
-  // Algorithm 1's peel, so Lemma 1's band.
-  out.result = peel.Finish(2.0 * (1.0 + options.epsilon));
+  out.result = peel.Finish();
   out.totals = SumPasses(out.pass_stats);
   out.input_scans = cursor.passes();
   return out;

@@ -71,10 +71,11 @@ void SketchedAlgorithm1Run::FinishPass() {
 
 SketchedResult SketchedAlgorithm1Run::TakeResult() {
   SketchedResult result;
-  // Band 0: the oracle's degree estimates carry relative error, which
+  result.result = peel_.Finish();
+  // No band: the oracle's degree estimates carry relative error, which
   // voids Lemma 1's deterministic proof — the sketched answer is served
   // uncertified (Answer::certified == false).
-  result.result = peel_.Finish(/*band=*/0.0);
+  result.result.certified_band = 0;
   result.result.io_passes = result.result.passes;  // oracle runs always scan
   result.oracle_state_words = oracle_->StateWords();
   result.memory_ratio = static_cast<double>(result.oracle_state_words) /
