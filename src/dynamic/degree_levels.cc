@@ -471,6 +471,11 @@ DegreeLevels::BestLevel DegreeLevels::FindBestLevel() const {
 
 std::vector<NodeId> DegreeLevels::CollectLevelSet(uint32_t level) const {
   std::vector<NodeId> out;
+  // |Z_level| is known from the level counts; sizing once spares every
+  // publication the vector's regrowth copies.
+  NodeId size = 0;
+  for (uint32_t i = level; i <= levels_; ++i) size += level_count_[i];
+  out.reserve(size);
   for (NodeId v = 0; v < static_cast<NodeId>(state_.size()); ++v) {
     if (state_[v].level >= level) out.push_back(v);
   }

@@ -51,13 +51,6 @@ JobOptions DriverJobOptions(uint64_t spill_budget_bytes,
   return opts;
 }
 
-/// A run's totals: its passes' counters, not the env's whole history.
-JobStats SumPasses(const std::vector<JobStats>& pass_stats) {
-  JobStats totals;
-  for (const JobStats& s : pass_stats) totals.Accumulate(s);
-  return totals;
-}
-
 }  // namespace
 
 StatusOr<MrDensestResult> RunMrDensestUndirected(
@@ -119,10 +112,10 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     }
     out.pass_seconds.push_back(pass_stats.simulated_seconds);
     out.pass_stats.push_back(pass_stats);
+    out.totals.Accumulate(pass_stats);
   }
 
   out.result = peel.Finish();
-  out.totals = SumPasses(out.pass_stats);
   out.input_scans = cursor.passes();
   return out;
 }
@@ -193,10 +186,10 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
     }
     out.pass_seconds.push_back(pass_stats.simulated_seconds);
     out.pass_stats.push_back(pass_stats);
+    out.totals.Accumulate(pass_stats);
   }
 
   out.result = peel.Finish();
-  out.totals = SumPasses(out.pass_stats);
   out.input_scans = cursor.passes();
   return out;
 }

@@ -59,7 +59,10 @@ void AnswerPlane::Publish(const Answer& answer,
     logged.answer.epoch = seq_.epoch();
     logged.prefix_updates = prefix_updates;
     logged.members.assign(members.begin(), members.end());
-    std::sort(logged.members.begin(), logged.members.end());
+    // DynamicDensest::DensestNodes is already ascending; skip the sort.
+    if (!std::is_sorted(logged.members.begin(), logged.members.end())) {
+      std::sort(logged.members.begin(), logged.members.end());
+    }
     writer_log_.push_back(std::move(logged));
   }
 }
