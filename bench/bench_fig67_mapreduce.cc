@@ -27,7 +27,6 @@
 #include "mapreduce/mr_densest.h"
 #include "mapreduce/stream_source.h"
 #include "stream/file_stream.h"
-#include "stream/pass_cursor.h"
 
 namespace {
 
@@ -115,8 +114,7 @@ bool RunSmokeGates(bench::BenchJson& json) {
   // Gate 3: combiner ceiling on the degree job. Raw map output is 2|E|
   // records; what crosses the shuffle must be bounded by the per-chunk
   // distinct-key ceiling (chunks x |V|), the O(|V_alive|) contract.
-  PassCursor cursor(**stream);
-  StreamRecordSource source(cursor);
+  StreamRecordSource source(**stream);
   JobOptions opts;
   JobStats degree_stats;
   auto degrees = MrDegreeJobCombined(env, source, opts, &degree_stats);

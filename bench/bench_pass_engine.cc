@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -40,15 +41,19 @@ struct ByteNodeSet {
   bool Contains(NodeId u) const { return bits[u] != 0; }
 };
 
-/// Replica of the seed RunUndirectedPass: one virtual Next() per edge.
+/// Replica of the seed RunUndirectedPass: one virtual read per edge. The
+/// read is NextView at cap 1, the stream's own read; the derived Next()
+/// would add two more virtual calls per edge and flatter the engine rows.
 UndirectedPassResult SeedScalarPass(EdgeStream& stream,
                                     const ByteNodeSet& alive,
                                     std::vector<double>& degrees) {
   std::fill(degrees.begin(), degrees.end(), 0.0);
   UndirectedPassResult out;
   stream.Reset();
-  Edge e;
-  while (stream.Next(&e)) {
+  Edge scratch;
+  for (std::span<const Edge> view = stream.NextView(&scratch, 1);
+       !view.empty(); view = stream.NextView(&scratch, 1)) {
+    const Edge& e = view[0];
     if (alive.Contains(e.u) && alive.Contains(e.v)) {
       degrees[e.u] += e.w;
       degrees[e.v] += e.w;

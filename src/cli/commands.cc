@@ -55,9 +55,7 @@ StatusOr<EdgeList> LoadEdges(const std::string& path) {
   auto stream = BinaryFileEdgeStream::Open(path);
   if (!stream.ok()) return stream.status();
   EdgeList edges((*stream)->num_nodes());
-  Edge e;
-  (*stream)->Reset();
-  while ((*stream)->Next(&e)) edges.Add(e.u, e.v, e.w);
+  ForEachEdge(**stream, [&](const Edge& e) { edges.Add(e.u, e.v, e.w); });
   // The drain above ends silently on a read error or a truncated file;
   // loading a partial edge set would yield a plausible-looking density.
   if (Status io = (*stream)->status(); !io.ok()) return io;

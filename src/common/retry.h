@@ -92,9 +92,9 @@ class RetryBackoff {
   int retry_ = 0;
 };
 
-/// \brief Observable outcome of the retry loops, surfaced through
-/// PassStats / JobStats so transient faults that healed are visible and
-/// distinguishable from permanent ones that aborted.
+/// \brief Observable outcome of the retry loops, read from the stream's
+/// io_retry_stats() (and per job from JobStats) so transient faults that
+/// healed are visible and distinguishable from permanent ones that aborted.
 struct IoRetryStats {
   uint64_t retries = 0;    ///< individual retry attempts made
   uint64_t healed = 0;     ///< operations that succeeded after >=1 retry

@@ -4,9 +4,9 @@
 #include <queue>
 #include <vector>
 
-#include "core/pass_engine.h"
 #include "graph/edge_list.h"
 #include "graph/subgraph.h"
+#include "stream/edge_stream.h"
 
 namespace densest {
 
@@ -111,7 +111,7 @@ CharikarResult CharikarPeel(const UndirectedGraph& g) {
 
 namespace {
 
-/// One batched engine pass over the stream, materialized as a CSR graph.
+/// One pass over the stream, materialized as a CSR graph.
 /// Fails with the stream's status when the pass ended early (truncated or
 /// failing file): the partial graph would peel to a plausible wrong rho.
 StatusOr<UndirectedGraph> MaterializeStream(EdgeStream& stream) {
@@ -119,8 +119,7 @@ StatusOr<UndirectedGraph> MaterializeStream(EdgeStream& stream) {
   if (EdgeId hint = stream.SizeHint(); hint > 0) {
     edges.mutable_edges().reserve(static_cast<size_t>(hint));
   }
-  DefaultPassEngine().ForEachEdgeBatched(
-      stream, [&](const Edge& e) { edges.Add(e.u, e.v, e.w); });
+  ForEachEdge(stream, [&](const Edge& e) { edges.Add(e.u, e.v, e.w); });
   if (Status io = stream.status(); !io.ok()) return io;
   return UndirectedGraph::FromEdgeList(edges);
 }

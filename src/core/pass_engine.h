@@ -159,21 +159,6 @@ class PassEngine {
                                  std::vector<double>& in_from_s,
                                  const CancelToken* cancel = nullptr);
 
-  /// Batched drain: invokes fn(edge) sequentially, in stream order, for
-  /// every edge of one full pass. For hot paths whose per-edge work is not
-  /// a peel (graph ingestion). Zero-copy where the stream supports NextView.
-  template <typename Fn>
-  void ForEachEdgeBatched(EdgeStream& stream, Fn&& fn) {
-    stream.Reset();
-    batch_.resize(kShardSlots * kShardEdges);
-    for (;;) {
-      const std::span<const Edge> view =
-          stream.NextView(batch_.data(), batch_.size());
-      if (view.empty()) break;
-      for (const Edge& e : view) fn(e);
-    }
-  }
-
  private:
   using Shards = std::array<Shard, kShardSlots>;
 

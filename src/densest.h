@@ -41,7 +41,6 @@
 #include "stream/file_stream.h"  // IWYU pragma: export
 #include "stream/generated_stream.h"  // IWYU pragma: export
 #include "stream/memory_stream.h"  // IWYU pragma: export
-#include "stream/pass_cursor.h"  // IWYU pragma: export
 #include "stream/pass_stats.h"   // IWYU pragma: export
 
 #endif  // DENSEST_DENSEST_H_

@@ -6,7 +6,7 @@
 // wall-clock.
 //
 // Inputs are RecordSources: a job can read an in-memory vector, an
-// EdgeStream chunked through a PassCursor (mapreduce/stream_source.h), or
+// EdgeStream chunked through its NextView (mapreduce/stream_source.h), or
 // a concatenation of sources — so the MR drivers run on the same
 // out-of-core inputs as the streaming engines. The shuffle spills sorted
 // runs to temp files under a byte budget (mapreduce/shuffle.h), so its

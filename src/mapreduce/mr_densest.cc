@@ -6,7 +6,6 @@
 #include "core/peel_runs.h"
 #include "mapreduce/stream_source.h"
 #include "stream/memory_stream.h"
-#include "stream/pass_cursor.h"
 
 namespace densest {
 
@@ -17,7 +16,7 @@ namespace {
 /// Jobs pull whichever is current through the RecordSource interface.
 class DriverInput {
  public:
-  explicit DriverInput(PassCursor& cursor) : stream_source_(cursor) {}
+  explicit DriverInput(EdgeStream& stream) : stream_source_(stream) {}
 
   MrEdgeSource& source() {
     if (on_stream_) return stream_source_;
@@ -31,7 +30,8 @@ class DriverInput {
     on_stream_ = false;
   }
 
-  bool on_stream() const { return on_stream_; }
+  /// Physical scans of the input stream so far.
+  uint64_t input_scans() const { return stream_source_.scans(); }
   bool in_memory_empty() const { return !on_stream_ && edges_.empty(); }
 
  private:
@@ -65,8 +65,7 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
   MrDensestResult out;
   UndirectedPeel peel(n, peel_options.epsilon, peel_options.max_passes,
                       peel_options.record_trace);
-  PassCursor cursor(stream);
-  DriverInput input(cursor);
+  DriverInput input(stream);
   const JobOptions base_opts =
       DriverJobOptions(options.spill_budget_bytes, options.spill_dir);
 
@@ -116,7 +115,7 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
   }
 
   out.result = peel.Finish();
-  out.input_scans = cursor.passes();
+  out.input_scans = input.input_scans();
   return out;
 }
 
@@ -139,8 +138,7 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
 
   MrDirectedResult out;
   DirectedPeel peel(n, peel_options);
-  PassCursor cursor(stream);
-  DriverInput input(cursor);
+  DriverInput input(stream);
   const JobOptions base_opts =
       DriverJobOptions(options.spill_budget_bytes, options.spill_dir);
 
@@ -190,7 +188,7 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
   }
 
   out.result = peel.Finish();
-  out.input_scans = cursor.passes();
+  out.input_scans = input.input_scans();
   return out;
 }
 

@@ -10,12 +10,12 @@
 //
 // The drivers read EdgeStreams: the first pass's jobs each scan the input
 // through a StreamRecordSource (binary file, generator, or in-memory
-// stream — the same inputs the streaming engines run on, counted by the
-// same PassCursor accounting), and the removal job's in-memory survivor
-// set feeds every later pass (§6.3: the graph shrinks by orders of
-// magnitude in the first passes). Shuffle memory inside each job follows
-// the spill budget, not |E|: the budget, plus one map round's output and
-// the merge's refill buffers (see mapreduce/job.h).
+// stream — the same inputs the streaming engines run on, read through the
+// same NextView; the source counts the scans), and the removal job's
+// in-memory survivor set feeds every later pass (§6.3: the graph shrinks
+// by orders of magnitude in the first passes). Shuffle memory inside each
+// job follows the spill budget, not |E|: the budget, plus one map round's
+// output and the merge's refill buffers (see mapreduce/job.h).
 
 #ifndef DENSEST_MAPREDUCE_MR_DENSEST_H_
 #define DENSEST_MAPREDUCE_MR_DENSEST_H_

@@ -1,14 +1,13 @@
 #include "stream/edge_stream.h"
 
-// EdgeStream is an interface; its virtual destructor anchor lives here so
-// the vtable is emitted in exactly one translation unit.
+#include <algorithm>
 
 namespace densest {
 
 size_t EdgeStream::NextBatch(Edge* buf, size_t cap) {
-  size_t produced = 0;
-  while (produced < cap && Next(buf + produced)) ++produced;
-  return produced;
+  const std::span<const Edge> view = NextView(buf, cap);
+  if (view.data() != buf) std::copy(view.begin(), view.end(), buf);
+  return view.size();
 }
 
 }  // namespace densest

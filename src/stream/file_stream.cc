@@ -211,33 +211,16 @@ bool BinaryFileEdgeStream::Refill(size_t record) {
   return buf_len_ - buf_pos_ >= record;
 }
 
-bool BinaryFileEdgeStream::Next(Edge* e) {
+std::span<const Edge> BinaryFileEdgeStream::NextView(Edge* scratch,
+                                                     size_t cap) {
   // A failed stream stays failed: emitting data again on the next pass
   // while status() still reports the error would let a multi-pass caller
   // mix complete and truncated passes over the same file.
-  if (emitted_ >= header_.num_edges || !status_.ok()) return false;
-  const size_t record = weighted_ ? kWeightedRecord : kUnweightedRecord;
-  if (buf_len_ - buf_pos_ < record && !Refill(record)) return false;
-  std::memcpy(&e->u, front_.data() + buf_pos_, sizeof(uint32_t));
-  std::memcpy(&e->v, front_.data() + buf_pos_ + sizeof(uint32_t),
-              sizeof(uint32_t));
-  if (weighted_) {
-    std::memcpy(&e->w, front_.data() + buf_pos_ + kUnweightedRecord,
-                sizeof(double));
-  } else {
-    e->w = 1.0;
-  }
-  buf_pos_ += record;
-  ++emitted_;
-  return true;
-}
-
-size_t BinaryFileEdgeStream::NextBatch(Edge* buf, size_t cap) {
-  // Decodes straight out of the IO buffer: one refill check per batch
+  if (!status_.ok()) return {};
+  // Decodes straight out of the IO buffer: one refill check per buffered
   // chunk instead of one per record, and the record unpack loop is branch-
   // free apart from the weighted/unweighted split hoisted outside it.
   size_t produced = 0;
-  if (!status_.ok()) return 0;  // sticky, same as Next()
   const size_t record = weighted_ ? kWeightedRecord : kUnweightedRecord;
   while (produced < cap && emitted_ < header_.num_edges) {
     if (buf_len_ - buf_pos_ < record && !Refill(record)) break;
@@ -246,25 +229,25 @@ size_t BinaryFileEdgeStream::NextBatch(Edge* buf, size_t cap) {
     const unsigned char* src = front_.data() + buf_pos_;
     if (weighted_) {
       for (size_t i = 0; i < chunk; ++i, src += kWeightedRecord) {
-        std::memcpy(&buf[produced + i].u, src, sizeof(uint32_t));
-        std::memcpy(&buf[produced + i].v, src + sizeof(uint32_t),
+        std::memcpy(&scratch[produced + i].u, src, sizeof(uint32_t));
+        std::memcpy(&scratch[produced + i].v, src + sizeof(uint32_t),
                     sizeof(uint32_t));
-        std::memcpy(&buf[produced + i].w, src + kUnweightedRecord,
+        std::memcpy(&scratch[produced + i].w, src + kUnweightedRecord,
                     sizeof(double));
       }
     } else {
       for (size_t i = 0; i < chunk; ++i, src += kUnweightedRecord) {
-        std::memcpy(&buf[produced + i].u, src, sizeof(uint32_t));
-        std::memcpy(&buf[produced + i].v, src + sizeof(uint32_t),
+        std::memcpy(&scratch[produced + i].u, src, sizeof(uint32_t));
+        std::memcpy(&scratch[produced + i].v, src + sizeof(uint32_t),
                     sizeof(uint32_t));
-        buf[produced + i].w = 1.0;
+        scratch[produced + i].w = 1.0;
       }
     }
     buf_pos_ += chunk * record;
     emitted_ += chunk;
     produced += chunk;
   }
-  return produced;
+  return {scratch, produced};
 }
 
 }  // namespace densest

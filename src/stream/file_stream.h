@@ -52,8 +52,8 @@ class BinaryFileEdgeStream : public EdgeStream {
   ~BinaryFileEdgeStream() override;
 
   void Reset() override;
-  bool Next(Edge* e) override;
-  size_t NextBatch(Edge* buf, size_t cap) override;
+  /// Decodes into `scratch`, straight out of the read buffer.
+  std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
   /// Sticky IO health: set to IOError when a mid-stream fread fails
   /// (ferror, not EOF) or when the file ends before header_.num_edges
   /// records were decoded (a truncated file). Once set it persists across
@@ -65,8 +65,7 @@ class BinaryFileEdgeStream : public EdgeStream {
   EdgeId SizeHint() const override { return header_.num_edges; }
 
   /// Total bytes read since Open (across all passes, including read-ahead
-  /// discarded by an early Reset) — used by PassStats to report streaming
-  /// IO volume.
+  /// discarded by an early Reset): the streaming IO volume.
   uint64_t bytes_read() const { return bytes_read_; }
 
   /// Retry knobs for transient (kUnavailable) faults in the prefetch task.

@@ -57,19 +57,15 @@ bool GnpEdgeStream::GenerateNext(Edge* e) {
   return true;
 }
 
-bool GnpEdgeStream::Next(Edge* e) {
-  if (cache_.serving()) return cache_.Next(e);
-  if (!GenerateNext(e)) {
-    cache_.MarkComplete();
-    return false;
-  }
-  cache_.Record(*e);
-  return true;
-}
-
 std::span<const Edge> GnpEdgeStream::NextView(Edge* scratch, size_t cap) {
   if (cache_.serving()) return cache_.NextView(cap);
-  return EdgeStream::NextView(scratch, cap);
+  size_t produced = 0;
+  while (produced < cap && GenerateNext(&scratch[produced])) {
+    cache_.Record(scratch[produced++]);
+  }
+  // Short of `cap` only when the generator ran dry: the pass is complete.
+  if (produced < cap) cache_.MarkComplete();
+  return {scratch, produced};
 }
 
 CirculantEdgeStream::CirculantEdgeStream(NodeId n, NodeId d,
@@ -92,28 +88,9 @@ void CirculantEdgeStream::Reset() {
   offset_ = 1;
 }
 
-bool CirculantEdgeStream::Next(Edge* e) {
-  if (cache_.serving()) return cache_.Next(e);
-  if (d_ == 0 || offset_ > d_ / 2) {
-    cache_.MarkComplete();
-    return false;
-  }
-  *e = Edge(node_, (node_ + offset_) % n_);
-  cache_.Record(*e);
-  ++node_;
-  if (node_ == n_) {
-    node_ = 0;
-    ++offset_;  // the entry guard ends the stream once offset_ > d_/2
-  }
-  return true;
-}
-
-size_t CirculantEdgeStream::NextBatch(Edge* buf, size_t cap) {
-  if (cache_.serving()) {
-    std::span<const Edge> view = cache_.NextView(cap);
-    std::copy(view.begin(), view.end(), buf);
-    return view.size();
-  }
+std::span<const Edge> CirculantEdgeStream::NextView(Edge* scratch,
+                                                    size_t cap) {
+  if (cache_.serving()) return cache_.NextView(cap);
   size_t produced = 0;
   while (produced < cap && d_ != 0 && offset_ <= d_ / 2) {
     // Emit the rest of the current offset ring in one tight loop.
@@ -122,7 +99,7 @@ size_t CirculantEdgeStream::NextBatch(Edge* buf, size_t cap) {
     for (NodeId i = 0; i < take; ++i) {
       NodeId u = node_ + i;
       NodeId v = u + offset_;
-      buf[produced + i] = Edge(u, v >= n_ ? v - n_ : v);
+      scratch[produced + i] = Edge(u, v >= n_ ? v - n_ : v);
     }
     produced += take;
     node_ += take;
@@ -131,16 +108,11 @@ size_t CirculantEdgeStream::NextBatch(Edge* buf, size_t cap) {
       ++offset_;
     }
   }
-  for (size_t i = 0; i < produced; ++i) cache_.Record(buf[i]);
+  for (size_t i = 0; i < produced; ++i) cache_.Record(scratch[i]);
   // Complete only on actual generator exhaustion — a cap==0 call mid-pass
   // must not promote a partial recording.
   if (d_ == 0 || offset_ > d_ / 2) cache_.MarkComplete();
-  return produced;
-}
-
-std::span<const Edge> CirculantEdgeStream::NextView(Edge* scratch, size_t cap) {
-  if (cache_.serving()) return cache_.NextView(cap);
-  return EdgeStream::NextView(scratch, cap);
+  return {scratch, produced};
 }
 
 }  // namespace densest

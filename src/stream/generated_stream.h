@@ -61,13 +61,6 @@ class EdgeCache {
     pos_ = 0;
   }
 
-  /// Replay: next edge of the cached pass (false at end).
-  bool Next(Edge* e) {
-    if (pos_ >= edges_.size()) return false;
-    *e = edges_[pos_++];
-    return true;
-  }
-
   /// Replay: zero-copy view of up to `cap` cached edges.
   std::span<const Edge> NextView(size_t cap) {
     const size_t take = std::min(cap, edges_.size() - pos_);
@@ -109,10 +102,7 @@ class GnpEdgeStream : public EdgeStream {
                 size_t materialize_budget_bytes = 0);
 
   void Reset() override;
-  bool Next(Edge* e) override;
-  // NextBatch is inherited: per-edge work here is a log and a geometric
-  // skip, so batching buys nothing beyond what the base loop already does.
-  // (Cached passes override NextView below and skip Next entirely.)
+  /// Regenerates into `scratch`, or views the cache once it serves.
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
   bool HasUnitWeights() const override { return true; }
   NodeId num_nodes() const override { return n_; }
@@ -147,8 +137,7 @@ class CirculantEdgeStream : public EdgeStream {
   CirculantEdgeStream(NodeId n, NodeId d, size_t materialize_budget_bytes = 0);
 
   void Reset() override;
-  bool Next(Edge* e) override;
-  size_t NextBatch(Edge* buf, size_t cap) override;
+  /// Computes into `scratch`, or views the cache once it serves.
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override;
   bool HasUnitWeights() const override { return true; }
   NodeId num_nodes() const override { return n_; }

@@ -1,23 +1,8 @@
 #include "stream/memory_stream.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace densest {
-
-bool EdgeListStream::Next(Edge* e) {
-  if (pos_ >= edges_->edges().size()) return false;
-  *e = edges_->edges()[pos_++];
-  return true;
-}
-
-size_t EdgeListStream::NextBatch(Edge* buf, size_t cap) {
-  const std::vector<Edge>& edges = edges_->edges();
-  const size_t take = std::min(cap, edges.size() - pos_);
-  if (take > 0) std::memcpy(buf, edges.data() + pos_, take * sizeof(Edge));
-  pos_ += take;
-  return take;
-}
 
 std::span<const Edge> EdgeListStream::NextView(Edge* /*scratch*/, size_t cap) {
   const std::vector<Edge>& edges = edges_->edges();
@@ -40,28 +25,8 @@ bool EdgeListStream::HasUnitWeights() const {
   return unit_weights_ != 0;
 }
 
-bool UndirectedGraphStream::Next(Edge* e) {
-  while (node_ < g_->num_nodes()) {
-    auto nbrs = g_->Neighbors(node_);
-    auto ws = g_->NeighborWeights(node_);
-    while (idx_ < nbrs.size()) {
-      NodeId v = nbrs[idx_];
-      if (v >= node_) {
-        e->u = node_;
-        e->v = v;
-        e->w = ws.empty() ? 1.0 : ws[idx_];
-        ++idx_;
-        return true;
-      }
-      ++idx_;
-    }
-    ++node_;
-    idx_ = 0;
-  }
-  return false;
-}
-
-size_t UndirectedGraphStream::NextBatch(Edge* buf, size_t cap) {
+std::span<const Edge> UndirectedGraphStream::NextView(Edge* scratch,
+                                                      size_t cap) {
   // Hoists the per-edge span construction out of the loop: the CSR row is
   // fetched once per node and drained with scalar index arithmetic.
   size_t produced = 0;
@@ -73,9 +38,9 @@ size_t UndirectedGraphStream::NextBatch(Edge* buf, size_t cap) {
     while (produced < cap && idx_ < nbrs.size()) {
       NodeId v = nbrs[idx_];
       if (v >= node_) {
-        buf[produced].u = node_;
-        buf[produced].v = v;
-        buf[produced].w = weighted ? ws[idx_] : 1.0;
+        scratch[produced].u = node_;
+        scratch[produced].v = v;
+        scratch[produced].w = weighted ? ws[idx_] : 1.0;
         ++produced;
       }
       ++idx_;
@@ -85,27 +50,11 @@ size_t UndirectedGraphStream::NextBatch(Edge* buf, size_t cap) {
       idx_ = 0;
     }
   }
-  return produced;
+  return {scratch, produced};
 }
 
-bool DirectedGraphStream::Next(Edge* e) {
-  while (node_ < g_->num_nodes()) {
-    auto nbrs = g_->OutNeighbors(node_);
-    auto ws = g_->OutNeighborWeights(node_);
-    if (idx_ < nbrs.size()) {
-      e->u = node_;
-      e->v = nbrs[idx_];
-      e->w = ws.empty() ? 1.0 : ws[idx_];
-      ++idx_;
-      return true;
-    }
-    ++node_;
-    idx_ = 0;
-  }
-  return false;
-}
-
-size_t DirectedGraphStream::NextBatch(Edge* buf, size_t cap) {
+std::span<const Edge> DirectedGraphStream::NextView(Edge* scratch,
+                                                    size_t cap) {
   size_t produced = 0;
   const NodeId n = g_->num_nodes();
   while (produced < cap && node_ < n) {
@@ -114,9 +63,9 @@ size_t DirectedGraphStream::NextBatch(Edge* buf, size_t cap) {
     const bool weighted = !ws.empty();
     const size_t take = std::min(cap - produced, nbrs.size() - idx_);
     for (size_t i = 0; i < take; ++i) {
-      buf[produced + i].u = node_;
-      buf[produced + i].v = nbrs[idx_ + i];
-      buf[produced + i].w = weighted ? ws[idx_ + i] : 1.0;
+      scratch[produced + i].u = node_;
+      scratch[produced + i].v = nbrs[idx_ + i];
+      scratch[produced + i].w = weighted ? ws[idx_ + i] : 1.0;
     }
     produced += take;
     idx_ += take;
@@ -125,7 +74,7 @@ size_t DirectedGraphStream::NextBatch(Edge* buf, size_t cap) {
       idx_ = 0;
     }
   }
-  return produced;
+  return {scratch, produced};
 }
 
 }  // namespace densest

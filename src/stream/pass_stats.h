@@ -1,5 +1,5 @@
 // Copyright 2026 The densest Authors.
-// Accounting for the streaming model: passes, edges scanned, IO retries.
+// Accounting for the streaming model: passes and edges scanned.
 
 #ifndef DENSEST_STREAM_PASS_STATS_H_
 #define DENSEST_STREAM_PASS_STATS_H_
@@ -12,17 +12,16 @@
 namespace densest {
 
 /// \brief Counters a streaming algorithm accumulates while consuming a
-/// stream. Passes are counted on Reset(); edges on Next().
+/// stream. Passes are counted on Reset(); edges on every read. IO retries
+/// are not copied here: the stream's own io_retry_stats() is their store.
 struct PassStats {
   uint64_t passes = 0;
   uint64_t edges_scanned = 0;
-  /// Transient IO faults retried / healed by the stream's retry loop (see
-  /// common/retry.h): a run that limped through transient faults is
-  /// observably different from a clean one even when both succeed.
-  uint64_t io_retries = 0;
-  uint64_t io_retries_healed = 0;
 
-  std::string ToString() const;
+  std::string ToString() const {
+    return "passes=" + std::to_string(passes) +
+           " edges_scanned=" + std::to_string(edges_scanned);
+  }
 };
 
 /// \brief Decorator that counts passes and edges flowing through an
@@ -36,27 +35,10 @@ class CountingEdgeStream : public EdgeStream {
   void Reset() override {
     ++stats_->passes;
     inner_->Reset();
-    SyncRetryStats();
-  }
-  bool Next(Edge* e) override {
-    bool has = inner_->Next(e);
-    if (has) {
-      ++stats_->edges_scanned;
-    } else {
-      SyncRetryStats();  // end of pass: fold in the inner stream's retries
-    }
-    return has;
-  }
-  size_t NextBatch(Edge* buf, size_t cap) override {
-    size_t got = inner_->NextBatch(buf, cap);
-    stats_->edges_scanned += got;
-    if (got == 0) SyncRetryStats();
-    return got;
   }
   std::span<const Edge> NextView(Edge* scratch, size_t cap) override {
     std::span<const Edge> view = inner_->NextView(scratch, cap);
     stats_->edges_scanned += view.size();
-    if (view.empty()) SyncRetryStats();
     return view;
   }
   bool HasUnitWeights() const override { return inner_->HasUnitWeights(); }
@@ -71,15 +53,6 @@ class CountingEdgeStream : public EdgeStream {
   EdgeId SizeHint() const override { return inner_->SizeHint(); }
 
  private:
-  // The inner stream's retry counters are cumulative since construction;
-  // copying them (not adding) at pass boundaries keeps PassStats exact no
-  // matter how many passes or syncs happen.
-  void SyncRetryStats() {
-    const IoRetryStats r = inner_->io_retry_stats();
-    stats_->io_retries = r.retries;
-    stats_->io_retries_healed = r.healed;
-  }
-
   EdgeStream* inner_;
   PassStats* stats_;
 };

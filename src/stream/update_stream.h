@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,13 +63,17 @@ inline EdgeUpdate DeleteUpdate(NodeId u, NodeId v, uint64_t timestamp = 0) {
 
 /// \brief A replayable stream of edge updates.
 ///
-/// Contract mirrors EdgeStream: after Reset(), successive Next() calls
-/// yield every update exactly once in timestamp order, then return false.
-/// Streams that can fail (disk-backed) carry the same sticky status()
-/// error model: end-of-stream and mid-stream failure both present as "no
-/// more updates", and every consumer must check status() after draining —
-/// maintaining a density over a silently truncated update sequence is the
-/// dynamic analogue of the truncated-pass bug the EdgeStream model guards.
+/// Contract mirrors EdgeStream: after Reset(), successive reads yield every
+/// update exactly once in timestamp order, then nothing. Streams that can
+/// fail (disk-backed) carry the same sticky status() error model:
+/// end-of-stream and mid-stream failure both present as "no more updates",
+/// and every consumer must check status() after draining — maintaining a
+/// density over a silently truncated update sequence is the dynamic
+/// analogue of the truncated-pass bug the EdgeStream model guards.
+///
+/// A stream implements one read, NextBatch; Next is derived from it here.
+/// Next stays virtual only so a decorator that observes every read (a
+/// timing wrapper) can intercept it.
 class UpdateStream {
  public:
   virtual ~UpdateStream() = default;
@@ -76,14 +81,12 @@ class UpdateStream {
   /// Rewinds to the first update (starts a new replay).
   virtual void Reset() = 0;
 
-  /// Produces the next update into *u; returns false at end of stream.
-  virtual bool Next(EdgeUpdate* u) = 0;
+  /// The one read: produces up to `cap` updates into `buf` and returns how
+  /// many were written; 0 only at end of stream.
+  virtual size_t NextBatch(EdgeUpdate* buf, size_t cap) = 0;
 
-  /// Produces up to `cap` updates into `buf` and returns how many were
-  /// written; 0 only at end of stream. The base implementation loops over
-  /// Next(); concrete streams override it to amortize the per-update
-  /// virtual dispatch (the replay driver's hot path only calls this).
-  virtual size_t NextBatch(EdgeUpdate* buf, size_t cap);
+  /// Produces the next update into *u; returns false at end of stream.
+  virtual bool Next(EdgeUpdate* u) { return NextBatch(u, 1) == 1; }
 
   /// Skips the next `n` updates without delivering them — the restore path
   /// uses this to resume a replay from a snapshot's saved cursor. The base
@@ -116,7 +119,6 @@ class MemoryUpdateStream : public UpdateStream {
       : updates_(&updates), num_nodes_(num_nodes) {}
 
   void Reset() override { pos_ = 0; }
-  bool Next(EdgeUpdate* u) override;
   size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   uint64_t Skip(uint64_t n) override;
   NodeId num_nodes() const override { return num_nodes_; }
@@ -157,7 +159,6 @@ class BinaryFileUpdateStream : public UpdateStream {
   ~BinaryFileUpdateStream() override;
 
   void Reset() override;
-  bool Next(EdgeUpdate* u) override;
   size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   /// O(1) resume: seeks straight to record `delivered_ + n`.
   uint64_t Skip(uint64_t n) override;
@@ -194,7 +195,6 @@ class InsertReplayUpdateStream : public UpdateStream {
     edges_->Reset();
     tick_ = 0;
   }
-  bool Next(EdgeUpdate* u) override;
   size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   Status status() const override { return edges_->status(); }
   IoRetryStats io_retry_stats() const override {
@@ -229,14 +229,21 @@ class SlidingWindowUpdateStream : public UpdateStream {
       : edges_(&edges),
         window_(window),
         eviction_batch_(eviction_batch < 1 ? 1 : eviction_batch) {}
+  // inner_ may view scratch_, so a copy would view the original's buffer.
+  SlidingWindowUpdateStream(const SlidingWindowUpdateStream&) = delete;
+  SlidingWindowUpdateStream& operator=(const SlidingWindowUpdateStream&) =
+      delete;
 
   void Reset() override {
     edges_->Reset();
     live_.clear();
     pending_evictions_ = 0;
     tick_ = 0;
+    inner_ = {};
+    inner_pos_ = 0;
   }
-  bool Next(EdgeUpdate* u) override;
+  /// Pulls inner edges in NextView chunks of kInnerChunk.
+  size_t NextBatch(EdgeUpdate* buf, size_t cap) override;
   Status status() const override { return edges_->status(); }
   IoRetryStats io_retry_stats() const override {
     return edges_->io_retry_stats();
@@ -253,6 +260,12 @@ class SlidingWindowUpdateStream : public UpdateStream {
   std::deque<std::pair<NodeId, NodeId>> live_;
   uint64_t pending_evictions_ = 0;  // evictions owed but not yet emitted
   uint64_t tick_ = 0;
+  // The inner chunk being replayed: inner_[inner_pos_..] are not yet
+  // inserted. inner_ views scratch_ or the inner stream's own storage.
+  static constexpr size_t kInnerChunk = 1024;
+  std::vector<Edge> scratch_ = std::vector<Edge>(kInnerChunk);
+  std::span<const Edge> inner_;
+  size_t inner_pos_ = 0;
 };
 
 }  // namespace densest

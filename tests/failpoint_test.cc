@@ -155,7 +155,7 @@ TEST_F(EdgeStreamFaultTest, PermanentIOErrorIsStickyAndNonRetryable) {
   EXPECT_EQ((*stream)->status().code(), Status::Code::kIOError);
 }
 
-TEST_F(EdgeStreamFaultTest, TransientFaultHealsAndCountsIntoPassStats) {
+TEST_F(EdgeStreamFaultTest, TransientFaultHealsAndCountsIntoRetryStats) {
   ASSERT_TRUE(Failpoints::Instance()
                   .Set("edge_stream.read", "times=2,kind=unavailable")
                   .ok());
@@ -164,15 +164,17 @@ TEST_F(EdgeStreamFaultTest, TransientFaultHealsAndCountsIntoPassStats) {
   PassStats pass;
   CountingEdgeStream counted(**stream, pass);
   // The retry loop absorbs both transient fires: the pass is complete and
-  // correct, and the limp is observable in the stats.
+  // correct, and the limp is observable in the stream's retry stats, read
+  // through the decorator as well as from the stream itself.
   EXPECT_EQ(Drain(counted), edges_.num_edges());
   EXPECT_TRUE(counted.status().ok());
+  EXPECT_EQ(pass.edges_scanned, edges_.num_edges());
   const IoRetryStats retry = (*stream)->io_retry_stats();
   EXPECT_EQ(retry.retries, 2u);
   EXPECT_GE(retry.healed, 1u);
   EXPECT_EQ(retry.exhausted, 0u);
-  EXPECT_EQ(pass.io_retries, 2u);
-  EXPECT_GE(pass.io_retries_healed, 1u);
+  EXPECT_EQ(counted.io_retry_stats().retries, retry.retries);
+  EXPECT_EQ(counted.io_retry_stats().healed, retry.healed);
 }
 
 TEST_F(EdgeStreamFaultTest, ExhaustedRetryBudgetSurfacesAsUnavailable) {

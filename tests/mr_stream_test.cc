@@ -25,7 +25,6 @@
 #include "stream/file_stream.h"
 #include "stream/generated_stream.h"
 #include "stream/memory_stream.h"
-#include "stream/pass_cursor.h"
 
 namespace densest {
 namespace {
@@ -35,8 +34,7 @@ namespace {
 TEST(StreamRecordSourceTest, DeliversEveryEdgeAndCountsScans) {
   EdgeList el = ErdosRenyiGnm(200, 1000, 11);
   EdgeListStream stream(el);
-  PassCursor cursor(stream);
-  StreamRecordSource source(cursor);
+  StreamRecordSource source(stream);
 
   for (int scan = 1; scan <= 2; ++scan) {
     source.Reset();
@@ -51,7 +49,7 @@ TEST(StreamRecordSourceTest, DeliversEveryEdgeAndCountsScans) {
       EXPECT_EQ(got[i].key, el.edges()[i].u);
       EXPECT_EQ(got[i].value, el.edges()[i].v);
     }
-    EXPECT_EQ(cursor.passes(), static_cast<uint64_t>(scan));
+    EXPECT_EQ(source.scans(), static_cast<uint64_t>(scan));
   }
 }
 
@@ -338,8 +336,7 @@ TEST(MrCombinerTest, DirectedDegreeCombinedMatchesPlain) {
 TEST(MapInputIoChargeTest, StreamBackedJobsChargeDfsBytes) {
   EdgeList edges = ErdosRenyiGnm(200, 1200, 31);
   EdgeListStream stream(edges);
-  PassCursor cursor(stream);
-  StreamRecordSource source(cursor);
+  StreamRecordSource source(stream);
   MapReduceEnv env;
   JobStats stats;
   auto degrees = MrDegreeJobCombined(env, source, JobOptions{}, &stats);

@@ -1,17 +1,22 @@
 // Unit tests for the streaming substrate: memory streams, binary file
-// streams, pass accounting.
+// streams, generator streams' read spellings, pass accounting.
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/algorithm1.h"
+#include "gen/erdos_renyi.h"
 #include "graph/graph_builder.h"
 #include "stream/file_stream.h"
+#include "stream/generated_stream.h"
 #include "stream/memory_stream.h"
 #include "stream/pass_stats.h"
 
@@ -249,6 +254,150 @@ TEST_F(BinaryFileStreamTest, TracksBytesRead) {
   while ((*stream)->Next(&e)) {
   }
   EXPECT_GE((*stream)->bytes_read(), 999u * 8);
+}
+
+// ---- Every read spelling of every stream yields the same sequence. ----
+
+/// One pass read only through NextView.
+std::vector<Edge> ViewPass(EdgeStream& s) {
+  s.Reset();
+  std::vector<Edge> out;
+  std::vector<Edge> scratch(4096);
+  for (std::span<const Edge> view = s.NextView(scratch.data(), 4096);
+       !view.empty(); view = s.NextView(scratch.data(), 4096)) {
+    out.insert(out.end(), view.begin(), view.end());
+  }
+  return out;
+}
+
+/// One pass that cycles through Next, NextBatch at caps 1, 3 and 4096, and
+/// NextView at cap 5. Any call returning nothing ends the pass, so a
+/// spelling that returned nothing mid-stream would show as a short pass.
+std::vector<Edge> MixedPass(EdgeStream& s) {
+  s.Reset();
+  std::vector<Edge> out;
+  std::vector<Edge> buf(4096);
+  for (int step = 0;; ++step) {
+    size_t got = 0;
+    switch (step % 5) {
+      case 0:
+        got = s.Next(buf.data()) ? 1 : 0;
+        break;
+      case 1:
+        got = s.NextBatch(buf.data(), 1);
+        break;
+      case 2:
+        got = s.NextBatch(buf.data(), 3);
+        break;
+      case 3:
+        got = s.NextBatch(buf.data(), 4096);
+        break;
+      default: {
+        std::span<const Edge> view = s.NextView(buf.data(), 5);
+        std::copy(view.begin(), view.end(), buf.begin());
+        got = view.size();
+      }
+    }
+    if (got == 0) break;
+    out.insert(out.end(), buf.begin(), buf.begin() + got);
+  }
+  return out;
+}
+
+/// Checks one stream kind: a fresh stream read view-first and one read
+/// mixed-first (so generator caches record under either spelling), two
+/// passes each way, all equal to `expected` when given.
+void ExpectSpellingsAgree(const std::function<std::unique_ptr<EdgeStream>()>&
+                              make,
+                          const std::vector<Edge>* expected = nullptr) {
+  std::unique_ptr<EdgeStream> a = make();
+  const std::vector<Edge> reference = ViewPass(*a);
+  if (expected != nullptr) {
+    EXPECT_EQ(reference, *expected);
+  }
+  EXPECT_EQ(MixedPass(*a), reference);
+  EXPECT_EQ(MixedPass(*a), reference);
+  EXPECT_EQ(ViewPass(*a), reference);
+  EXPECT_TRUE(a->status().ok());
+
+  std::unique_ptr<EdgeStream> b = make();
+  EXPECT_EQ(MixedPass(*b), reference);
+  EXPECT_EQ(ViewPass(*b), reference);
+  EXPECT_EQ(MixedPass(*b), reference);
+  EXPECT_TRUE(b->status().ok());
+}
+
+/// A weighted edge list with distinct non-unit weights.
+EdgeList WeightedGnm(NodeId n, EdgeId m, uint64_t seed) {
+  EdgeList plain = ErdosRenyiGnm(n, m, seed);
+  EdgeList weighted(n);
+  Rng rng(seed + 1);
+  for (const Edge& e : plain.edges()) {
+    weighted.Add(e.u, e.v, 0.5 + rng.UniformDouble());
+  }
+  return weighted;
+}
+
+TEST(ReadSpellingsTest, MemoryStreams) {
+  const EdgeList el = WeightedGnm(3000, 20000, 5);
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<EdgeListStream>(el); }, &el.edges());
+  const EdgeList empty(10);
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<EdgeListStream>(empty); }, &empty.edges());
+
+  GraphBuilder b;
+  for (const Edge& e : el.edges()) b.Add(e.u, e.v, e.w);
+  const UndirectedGraph ug = std::move(b.BuildUndirected()).value();
+  const DirectedGraph dg = std::move(b.BuildDirected()).value();
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<UndirectedGraphStream>(ug); });
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<DirectedGraphStream>(dg); });
+}
+
+TEST_F(BinaryFileStreamTest, ReadSpellingsAgree) {
+  // More records than one 1 MiB read buffer holds, so reads of every cap
+  // straddle a refill.
+  const EdgeList el = WeightedGnm(50000, 150000, 9);
+  for (bool weighted : {false, true}) {
+    path_ = ::testing::TempDir() + "/edges_spellings.bin";
+    ASSERT_TRUE(WriteBinaryEdgeFile(path_, el, weighted).ok());
+    std::vector<Edge> expected = el.edges();
+    if (!weighted) {
+      for (Edge& e : expected) e.w = 1.0;
+    }
+    ExpectSpellingsAgree(
+        [&]() -> std::unique_ptr<EdgeStream> {
+          auto s = BinaryFileEdgeStream::Open(path_);
+          EXPECT_TRUE(s.ok());
+          return std::move(*s);
+        },
+        &expected);
+  }
+}
+
+TEST(ReadSpellingsTest, GeneratorStreamsWithAndWithoutCache) {
+  for (size_t budget : {size_t{0}, size_t{1} << 24}) {
+    ExpectSpellingsAgree(
+        [&] { return std::make_unique<GnpEdgeStream>(2000, 0.01, 3, budget); });
+    ExpectSpellingsAgree(
+        [&] { return std::make_unique<CirculantEdgeStream>(5000, 8, budget); });
+  }
+}
+
+TEST(ReadSpellingsTest, CountingStreamCountsEverySpelling) {
+  const EdgeList el = WeightedGnm(3000, 20000, 7);
+  GraphBuilder b;
+  for (const Edge& e : el.edges()) b.Add(e.u, e.v, e.w);
+  const UndirectedGraph ug = std::move(b.BuildUndirected()).value();
+  UndirectedGraphStream inner(ug);
+  PassStats stats;
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<CountingEdgeStream>(inner, stats); });
+  // Seven passes, each counting every edge once, whichever spelling read it.
+  EXPECT_EQ(stats.passes, 7u);
+  EXPECT_EQ(stats.edges_scanned, 7 * ug.num_edges());
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -66,6 +68,18 @@ TEST(MemoryUpdateStreamTest, NextBatchMatchesNext) {
     batched.insert(batched.end(), buf, buf + got);
   }
   EXPECT_EQ(batched, updates);
+}
+
+TEST(MemoryUpdateStreamTest, EmptyStreamDeliversNothing) {
+  // An empty vector's data() may be null; no read may hand it to memcpy.
+  const std::vector<EdgeUpdate> none;
+  MemoryUpdateStream stream(none, 4);
+  stream.Reset();
+  EdgeUpdate buf[8];
+  EXPECT_EQ(stream.NextBatch(buf, 8), 0u);
+  EXPECT_FALSE(stream.Next(buf));
+  EXPECT_EQ(stream.Skip(5), 0u);
+  EXPECT_TRUE(Drain(stream).empty());
 }
 
 TEST(BinaryUpdateFileTest, RoundTrip) {
@@ -279,6 +293,108 @@ TEST(SkipTest, SlidingWindowSkipKeepsGeneratorStateConsistent) {
     ++i;
   }
   EXPECT_EQ(i, reference.size());
+}
+
+// ---- Every read spelling of every stream yields the same sequence. ----
+
+/// One replay read only through NextBatch at cap 4096.
+std::vector<EdgeUpdate> BatchReplay(UpdateStream& s) {
+  s.Reset();
+  std::vector<EdgeUpdate> out;
+  std::vector<EdgeUpdate> buf(4096);
+  for (size_t got; (got = s.NextBatch(buf.data(), buf.size())) > 0;) {
+    out.insert(out.end(), buf.begin(), buf.begin() + got);
+  }
+  return out;
+}
+
+/// One replay that cycles through Next and NextBatch at caps 1, 3 and 4096.
+/// Any call returning nothing ends the replay, so a spelling that returned
+/// nothing mid-stream would show as a short replay.
+std::vector<EdgeUpdate> MixedReplay(UpdateStream& s) {
+  s.Reset();
+  std::vector<EdgeUpdate> out;
+  std::vector<EdgeUpdate> buf(4096);
+  constexpr size_t kCaps[] = {1, 3, 4096};
+  for (int step = 0;; ++step) {
+    const size_t got = step % 4 == 0
+                           ? (s.Next(buf.data()) ? 1 : 0)
+                           : s.NextBatch(buf.data(), kCaps[step % 4 - 1]);
+    if (got == 0) break;
+    out.insert(out.end(), buf.begin(), buf.begin() + got);
+  }
+  return out;
+}
+
+/// A fresh stream replayed batch-first and one replayed mixed-first, two
+/// replays each way, all equal to `expected` when given.
+void ExpectSpellingsAgree(
+    const std::function<std::unique_ptr<UpdateStream>()>& make,
+    const std::vector<EdgeUpdate>* expected = nullptr) {
+  std::unique_ptr<UpdateStream> a = make();
+  const std::vector<EdgeUpdate> reference = BatchReplay(*a);
+  if (expected != nullptr) {
+    EXPECT_EQ(reference, *expected);
+  }
+  EXPECT_EQ(MixedReplay(*a), reference);
+  EXPECT_EQ(MixedReplay(*a), reference);
+  EXPECT_EQ(BatchReplay(*a), reference);
+  EXPECT_TRUE(a->status().ok());
+
+  std::unique_ptr<UpdateStream> b = make();
+  EXPECT_EQ(MixedReplay(*b), reference);
+  EXPECT_EQ(BatchReplay(*b), reference);
+  EXPECT_TRUE(b->status().ok());
+}
+
+TEST(ReadSpellingsTest, EveryUpdateStreamAgrees) {
+  const EdgeList edges = ErdosRenyiGnm(500, 6000, 13);
+  EdgeListStream base(edges);
+  std::vector<EdgeUpdate> updates;
+  {
+    InsertReplayUpdateStream replay(base);
+    updates = Drain(replay);
+  }
+  ASSERT_EQ(updates.size(), edges.num_edges());
+
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<MemoryUpdateStream>(updates, 500); },
+      &updates);
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<InsertReplayUpdateStream>(base); },
+      &updates);
+
+  const std::string path = TempPath("spellings");
+  ASSERT_TRUE(WriteBinaryUpdateFile(path, 500, updates).ok());
+  ExpectSpellingsAgree(
+      [&]() -> std::unique_ptr<UpdateStream> {
+        auto s = BinaryFileUpdateStream::Open(path);
+        EXPECT_TRUE(s.ok());
+        return std::move(*s);
+      },
+      &updates);
+  std::remove(path.c_str());
+
+  // The window's per-update reference: inserts and FIFO evictions built
+  // from the edge order alone (B = 1: one eviction after each overfilling
+  // insert, so the tail needs no drain).
+  const uint64_t kWindow = 700;
+  std::vector<EdgeUpdate> windowed;
+  uint64_t tick = 0;
+  for (size_t i = 0; i < edges.num_edges(); ++i) {
+    const Edge& e = edges.edges()[i];
+    windowed.push_back(InsertUpdate(e.u, e.v, ++tick));
+    if (i >= kWindow) {
+      const Edge& old = edges.edges()[i - kWindow];
+      windowed.push_back(DeleteUpdate(old.u, old.v, ++tick));
+    }
+  }
+  ExpectSpellingsAgree(
+      [&] { return std::make_unique<SlidingWindowUpdateStream>(base, kWindow); },
+      &windowed);
+  ExpectSpellingsAgree([&] {
+    return std::make_unique<SlidingWindowUpdateStream>(base, kWindow, 7);
+  });
 }
 
 }  // namespace

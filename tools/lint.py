@@ -31,6 +31,13 @@ check — the conventions the correctness story leans on:
                        virtual methods must say `override` — a stream that
                        silently stops overriding status() reverts to the
                        infallible default and swallows IO errors.
+  one-read             A stream class in src/ implements one read: one
+                       deriving from EdgeStream overrides at most one of
+                       Next/NextBatch/NextView, one deriving from
+                       UpdateStream at most one of Next/NextBatch. The
+                       base classes derive the other spellings, so a
+                       second override is a second copy of the decode and
+                       sticky-status logic.
   flag-table           CLI flags are declared only in the command table
                        (src/cli/command_table.cc): no GetInt/GetDouble/
                        GetBool/GetString("name") reads in src/ or tools/,
@@ -405,7 +412,7 @@ class Linter:
     # Streams' virtual methods; a subclass redeclaring one without
     # `override` is either shadowing or silently detached from the base.
     STREAM_BASES = re.compile(
-        r":\s*public\s+\w*(?:EdgeStream|UpdateStream|RecordSource)"
+        r":\s*public\s+(?:\w+::)*\w*(?:EdgeStream|UpdateStream|RecordSource)"
     )
     STREAM_METHODS = re.compile(
         r"^\s*(?:virtual\s+)?[\w:<>,*&\s]+?\b"
@@ -415,9 +422,10 @@ class Linter:
         re.M,
     )
 
-    def check_override(self):
-        check = "override"
-        for path in source_files(self.root, subdirs=("src", "tests")):
+    def stream_classes(self, subdirs):
+        """Yields (path, class header, class body, line of the body's first
+        line) for every class deriving from a stream interface."""
+        for path in source_files(self.root, subdirs=subdirs):
             text = strip_comments(open(path).read())
             for cls in re.finditer(r"class\s+\w+[^{;]*{", text):
                 header = cls.group(0)
@@ -434,17 +442,49 @@ class Linter:
                             break
                     j += 1
                 body = text[cls.end(): j]
-                base_line = text[: cls.end()].count("\n") + 1
-                for m in self.STREAM_METHODS.finditer(body):
-                    decl = m.group(0)
-                    if "override" in decl or "= 0" in decl or "static" in decl:
-                        continue
-                    line = base_line + body[: m.start()].count("\n")
-                    self.report(
-                        check, path, line,
-                        f"stream subclass method '{m.group(1)}' missing "
-                        "`override`",
-                    )
+                yield path, header, body, text[: cls.end()].count("\n") + 1
+
+    def check_override(self):
+        check = "override"
+        for path, _, body, base_line in self.stream_classes(("src", "tests")):
+            for m in self.STREAM_METHODS.finditer(body):
+                decl = m.group(0)
+                if "override" in decl or "= 0" in decl or "static" in decl:
+                    continue
+                line = base_line + body[: m.start()].count("\n")
+                self.report(
+                    check, path, line,
+                    f"stream subclass method '{m.group(1)}' missing "
+                    "`override`",
+                )
+
+    # ------------------------------------------------------------ one-read --
+
+    READ_METHODS = {
+        "EdgeStream": ("Next", "NextBatch", "NextView"),
+        "UpdateStream": ("Next", "NextBatch"),
+    }
+    READ_BASE = re.compile(r":\s*public\s+(?:\w+::)*\w*(EdgeStream|UpdateStream)\b")
+
+    def check_one_read(self):
+        check = "one-read"
+        for path, header, body, base_line in self.stream_classes(("src",)):
+            base = self.READ_BASE.search(header)
+            if base is None:
+                continue
+            reads = self.READ_METHODS[base.group(1)]
+            overridden = []
+            for m in self.STREAM_METHODS.finditer(body):
+                if m.group(1) in reads and "override" in m.group(0):
+                    overridden.append(m)
+            if len(overridden) > 1:
+                line = base_line + body[: overridden[1].start()].count("\n")
+                names = ", ".join(m.group(1) for m in overridden)
+                self.report(
+                    check, path, line,
+                    f"{base.group(1)} subclass overrides {names}: implement "
+                    "one read and let the base class derive the others",
+                )
 
     # ---------------------------------------------------------- flag table --
 
@@ -494,6 +534,7 @@ class Linter:
         self.check_naked_new()
         self.check_tools_includes()
         self.check_override()
+        self.check_one_read()
         self.check_flag_table()
         for v in self.violations:
             print(v)
@@ -665,6 +706,35 @@ def self_test(repo_root: str) -> int:
         lint.check_override()
         expect("override", lint.violations, "'Reset' missing")
 
+    # 5b. A stream implementing a second read; one read each is clean.
+    with tempfile.TemporaryDirectory() as tmp:
+        make_tree(tmp)
+        with open(os.path.join(tmp, "src/common/stream_reads.h"), "w") as f:
+            f.write(
+                "class TwoReads : public EdgeStream {\n"
+                "  size_t NextBatch(Edge* buf, size_t cap) override;\n"
+                "  std::span<const Edge> NextView(Edge* s, size_t cap) override;\n"
+                "};\n"
+                "class TwoUpdateReads : public densest::UpdateStream {\n"
+                "  bool Next(EdgeUpdate* u) override;\n"
+                "  size_t NextBatch(EdgeUpdate* buf, size_t cap) override;\n"
+                "};\n"
+                "class OneRead : public EdgeStream {\n"
+                "  std::span<const Edge> NextView(Edge* s, size_t cap) override;\n"
+                "};\n"
+                "class OneUpdateRead : public UpdateStream {\n"
+                "  size_t NextBatch(EdgeUpdate* buf, size_t cap) override;\n"
+                "};\n"
+            )
+        lint = Linter(tmp)
+        lint.check_one_read()
+        expect("one-read", lint.violations, "overrides NextBatch, NextView")
+        expect("one-read-update", lint.violations, "overrides Next, NextBatch")
+        if len(lint.violations) != 2:
+            failures.append(
+                f"self-test: one-read flagged a one-read stream: "
+                f"{lint.violations}")
+
     # 6. Ad-hoc flag reads outside the command table, and a typed read of
     # a flag the table never declares.
     with tempfile.TemporaryDirectory() as tmp:
@@ -694,6 +764,7 @@ def self_test(repo_root: str) -> int:
     real.check_naked_new()
     real.check_tools_includes()
     real.check_override()
+    real.check_one_read()
     real.check_flag_table()
     for v in real.violations:
         failures.append(f"self-test: real tree not clean: {v}")
