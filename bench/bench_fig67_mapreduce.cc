@@ -27,6 +27,7 @@
 #include "mapreduce/mr_densest.h"
 #include "mapreduce/stream_source.h"
 #include "stream/file_stream.h"
+#include "stream/memory_stream.h"
 
 namespace {
 
@@ -87,11 +88,12 @@ bool RunSmokeGates(bench::BenchJson& json) {
   // Gate 1b: stream-scan IO charge. The first-pass jobs scan the binary
   // file through StreamRecordSource; a zero map_input_bytes total means
   // the cost model stopped charging the DFS read the mappers perform.
+  const JobStats totals = SumJobStats(mr->pass_stats);
   json.Add("map_input_bytes",
-           static_cast<double>(mr->totals.map_input_bytes));
+           static_cast<double>(totals.map_input_bytes));
   std::printf("map input scan: %llu DFS bytes charged\n",
-              static_cast<unsigned long long>(mr->totals.map_input_bytes));
-  if (mr->totals.map_input_bytes <
+              static_cast<unsigned long long>(totals.map_input_bytes));
+  if (totals.map_input_bytes <
       el.num_edges() * StreamRecordSource::kDfsRecordBytes) {
     std::printf("FAIL: map_input_bytes below one full input scan\n");
     ok = false;
@@ -100,13 +102,13 @@ bool RunSmokeGates(bench::BenchJson& json) {
   // Gate 2: spill engagement. Under that budget the first-pass shuffles
   // cannot fit in memory; a zero spill count means the budget is ignored.
   json.Add("spill_bytes_written",
-           static_cast<double>(mr->totals.spill_bytes_written));
+           static_cast<double>(totals.spill_bytes_written));
   json.Add("spill_bytes_read",
-           static_cast<double>(mr->totals.spill_bytes_read));
+           static_cast<double>(totals.spill_bytes_read));
   std::printf("shuffle spill: %llu bytes written, %llu read back\n",
-              static_cast<unsigned long long>(mr->totals.spill_bytes_written),
-              static_cast<unsigned long long>(mr->totals.spill_bytes_read));
-  if (mr->totals.spill_bytes_written == 0) {
+              static_cast<unsigned long long>(totals.spill_bytes_written),
+              static_cast<unsigned long long>(totals.spill_bytes_read));
+  if (totals.spill_bytes_written == 0) {
     std::printf("FAIL: spill budget below the KV footprint never spilled\n");
     ok = false;
   }
@@ -197,7 +199,8 @@ int RunFigure() {
     // Out-of-core posture even on the stand-in: bound each job's resident
     // shuffle at 4 MiB; the first passes spill, the tail fits.
     opt.spill_budget_bytes = 4 << 20;
-    auto r = RunMrDensestUndirected(env, im, opt);
+    EdgeListStream stream(im);
+    auto r = RunMrDensestUndirected(env, stream, opt);
     if (!r.ok()) {
       std::printf("MR driver failed: %s\n", r.status().ToString().c_str());
       return 1;
@@ -206,10 +209,10 @@ int RunFigure() {
                 eps, static_cast<unsigned long long>(r->result.passes),
                 r->result.density,
                 static_cast<unsigned long long>(
-                    r->totals.spill_bytes_written >> 20));
+                    SumJobStats(r->pass_stats).spill_bytes_written >> 20));
     std::printf("  %-6s %14s\n", "pass", "sim minutes");
-    for (size_t i = 0; i < r->pass_seconds.size(); ++i) {
-      double minutes = r->pass_seconds[i] / 60.0;
+    for (size_t i = 0; i < r->pass_stats.size(); ++i) {
+      double minutes = r->pass_stats[i].simulated_seconds / 60.0;
       std::printf("  %-6zu %14.1f\n", i + 1, minutes);
       if (csv.ok()) {
         csv->AddRow({CsvWriter::Num(eps), std::to_string(i + 1),

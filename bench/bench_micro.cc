@@ -14,6 +14,7 @@
 #include "gen/erdos_renyi.h"
 #include "graph/subgraph.h"
 #include "mapreduce/graph_jobs.h"
+#include "mapreduce/stream_source.h"
 #include "sketch/count_sketch.h"
 #include "stream/memory_stream.h"
 
@@ -101,16 +102,19 @@ void BM_CountSketchEstimate(benchmark::State& state) {
 BENCHMARK(BM_CountSketchEstimate);
 
 void BM_MrDegreeJob(benchmark::State& state) {
-  static MrEdges edges = [] {
-    EdgeList el = ErdosRenyiGnm(20000, 100000, 5);
-    return ToMrEdges(el.edges());
-  }();
+  static const EdgeList el = ErdosRenyiGnm(20000, 100000, 5);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
   MapReduceEnv env;
   for (auto _ : state) {
-    auto degrees = MrDegreeJob(env, edges);
-    benchmark::DoNotOptimize(degrees.size());
+    auto degrees = MrDegreeJob(env, source, JobOptions{});
+    if (!degrees.ok()) {
+      state.SkipWithError(degrees.status().ToString().c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(degrees->size());
   }
-  state.SetItemsProcessed(state.iterations() * edges.size());
+  state.SetItemsProcessed(state.iterations() * el.num_edges());
 }
 BENCHMARK(BM_MrDegreeJob);
 

@@ -80,7 +80,7 @@ int main() {
     const PassSnapshot& s = mr->result.trace[i];
     std::printf("%6zu %10u %12llu %14.3f %16.1f %12llu\n", i + 1, s.nodes,
                 static_cast<unsigned long long>(s.edges), s.density,
-                mr->pass_seconds[i],
+                mr->pass_stats[i].simulated_seconds,
                 static_cast<unsigned long long>(
                     mr->pass_stats[i].spill_bytes_written >> 10));
   }
@@ -88,7 +88,8 @@ int main() {
   std::printf("input stream scans: %llu (first pass only; later passes run "
               "over the in-memory survivors)\n",
               static_cast<unsigned long long>(mr->input_scans));
-  std::printf("cluster totals: %s\n", mr->totals.ToString().c_str());
+  std::printf("cluster totals: %s\n",
+              SumJobStats(mr->pass_stats).ToString().c_str());
 
   // Cross-check against the streaming implementation on the same file.
   Algorithm1Options stream_options;

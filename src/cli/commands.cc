@@ -270,15 +270,15 @@ Status CmdMapReduce(const Args& args, std::ostream& out) {
     if (!r.ok()) return r.status();
     out << "mapreduce algorithm 3 (c=" << opt.c << "): "
         << Summarize(r->result) << "\n";
-    out << "input scans: " << r->input_scans
-        << "  cluster totals: " << r->totals.ToString() << "\n";
+    out << "input scans: " << r->input_scans << "  cluster totals: "
+        << SumJobStats(r->pass_stats).ToString() << "\n";
     if (trace) {
       out << "pass  |S|  |T|  |E(S,T)|  rho  sim_sec\n";
       for (size_t i = 0; i < r->result.trace.size(); ++i) {
         const DirectedPassSnapshot& s = r->result.trace[i];
         out << s.pass << "  " << s.s_size << "  " << s.t_size << "  "
-            << s.weight << "  " << s.density << "  " << r->pass_seconds[i]
-            << "\n";
+            << s.weight << "  " << s.density << "  "
+            << r->pass_stats[i].simulated_seconds << "\n";
       }
     }
     return Status::OK();
@@ -291,14 +291,14 @@ Status CmdMapReduce(const Args& args, std::ostream& out) {
   StatusOr<MrDensestResult> r = RunMrDensestUndirected(env, stream, opt);
   if (!r.ok()) return r.status();
   out << "mapreduce algorithm 1: " << Summarize(r->result) << "\n";
-  out << "input scans: " << r->input_scans
-      << "  cluster totals: " << r->totals.ToString() << "\n";
+  out << "input scans: " << r->input_scans << "  cluster totals: "
+      << SumJobStats(r->pass_stats).ToString() << "\n";
   if (trace) {
     out << "pass  nodes  edges  rho  sim_sec\n";
     for (size_t i = 0; i < r->result.trace.size(); ++i) {
       const PassSnapshot& s = r->result.trace[i];
       out << s.pass << "  " << s.nodes << "  " << s.edges << "  "
-          << s.density << "  " << r->pass_seconds[i] << "\n";
+          << s.density << "  " << r->pass_stats[i].simulated_seconds << "\n";
     }
   }
   return Status::OK();

@@ -50,6 +50,21 @@ StatusOr<std::unique_ptr<DynamicDensest>> DynamicDensest::FromSnapshotState(
     const DynamicDensestStats& stats, const OverloadState& overload) {
   StatusOr<std::unique_ptr<DynamicDensest>> created = Create(n, options);
   if (!created.ok()) return created.status();
+  // The deadline recompute shifts by cancel_streak and the stale band
+  // grows from last_cert_upper over the inserts since last_cert_inserts;
+  // only values the engine itself can reach are restored.
+  if (overload.cancel_streak > kMaxCancelStreak) {
+    return Status::InvalidArgument("snapshot cancel_streak above the cap");
+  }
+  if (!std::isfinite(overload.last_cert_upper) ||
+      overload.last_cert_upper < 0) {
+    return Status::InvalidArgument(
+        "snapshot last_cert_upper is negative or not finite");
+  }
+  if (overload.last_cert_inserts > stats.inserts) {
+    return Status::InvalidArgument(
+        "snapshot last_cert_inserts above its insert count");
+  }
   DynamicDensest& e = **created;
   Status s = e.adj_.RestoreAdjacency(std::move(adjacency));
   if (!s.ok()) return s;
@@ -296,7 +311,7 @@ void DynamicDensest::MaybeFallback() {
         // the same oversized edge set the deadline just shed.
         ++stats_.recomputes_cancelled;
         recompute_pending_ = true;
-        if (cancel_streak_ < 20) ++cancel_streak_;
+        if (cancel_streak_ < kMaxCancelStreak) ++cancel_streak_;
         rearm_at_updates_ = stats_.inserts + stats_.deletes +
                             options_.recompute_rearm_updates;
         return;

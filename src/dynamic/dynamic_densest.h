@@ -151,20 +151,29 @@ class DynamicDensest {
   /// stale band a pending one did. All-default when nothing is pending.
   struct OverloadState {
     bool pending = false;           ///< a cancelled recompute awaits re-arm
-    uint32_t cancel_streak = 0;     ///< consecutive cancelled recomputes
+    uint32_t cancel_streak = 0;     ///< consecutive cancelled recomputes,
+                                    ///< at most kMaxCancelStreak
     uint64_t rearm_at_updates = 0;  ///< inserts+deletes count to retry at
     double last_cert_upper = 0;     ///< last certified upper bound
     uint64_t last_cert_inserts = 0; ///< inserts when it was captured
   };
 
+  /// Cap on OverloadState::cancel_streak: the recompute deadline doubles
+  /// per consecutive cancellation up to 2^kMaxCancelStreak times the
+  /// configured budget.
+  static constexpr uint32_t kMaxCancelStreak = 20;
+
   /// Reconstructs an engine from snapshotted state (dynamic/snapshot.h
   /// handles the byte format; this takes the decoded pieces): the
   /// adjacency VERBATIM (see DynamicAdjacency::RestoreAdjacency on why
   /// order matters), the window's first slot, one per-node level array per
-  /// maintained slot, the trim streak, and the accumulated stats. Fails
-  /// with InvalidArgument when any piece is internally inconsistent. A
-  /// successful restore is bit-for-bit: the engine evolves identically to
-  /// the one the state was captured from.
+  /// maintained slot, the trim streak, the accumulated stats and the
+  /// overload state. Fails with InvalidArgument when any piece is
+  /// internally inconsistent or out of range (a cancel_streak above
+  /// kMaxCancelStreak, a negative or non-finite last_cert_upper, or
+  /// last_cert_inserts above stats.inserts). A successful restore is
+  /// bit-for-bit: the engine evolves identically to the one the state was
+  /// captured from.
   static StatusOr<std::unique_ptr<DynamicDensest>> FromSnapshotState(
       NodeId n, const DynamicDensestOptions& options,
       std::vector<std::vector<NodeId>> adjacency, uint32_t lo,

@@ -22,6 +22,12 @@ void JobStats::Accumulate(const JobStats& other) {
   simulated_seconds += other.simulated_seconds;
 }
 
+JobStats SumJobStats(const std::vector<JobStats>& jobs) {
+  JobStats total;
+  for (const JobStats& job : jobs) total.Accumulate(job);
+  return total;
+}
+
 std::string JobStats::ToString() const {
   std::ostringstream os;
   os << "map_in=" << map_input_records

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace densest {
 
@@ -78,6 +79,10 @@ struct JobStats {
 
   std::string ToString() const;
 };
+
+/// The counters of several jobs (or passes) summed in order, e.g. a
+/// driver run's totals from its pass_stats.
+JobStats SumJobStats(const std::vector<JobStats>& jobs);
 
 /// Computes the simulated wall-clock of a job with the given counters:
 /// overhead + skew * (map time + shuffle time + reduce time), where each

@@ -63,26 +63,18 @@ MrEdges MakeMarkers(const NodeSet& marked) {
 
 }  // namespace
 
-MrEdges ToMrEdges(const std::vector<Edge>& edges) {
-  MrEdges out;
-  out.reserve(edges.size());
-  for (const Edge& e : edges) {
-    out.push_back(KV<NodeId, NodeId>{e.u, e.v});
-  }
-  return out;
-}
-
-std::vector<KV<NodeId, EdgeId>> MrDegreeJob(MapReduceEnv& env,
-                                            const MrEdges& edges,
-                                            JobStats* stats) {
+StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJob(
+    MapReduceEnv& env, MrEdgeSource& edges, const JobOptions& options,
+    JobStats* stats) {
   // §5.2: duplicate each edge (u,v) as <u;v> and <v;u>; the reducer for u
   // then sees all of u's neighbors and counts them.
-  return RunJob<NodeId, NodeId, NodeId, EdgeId>(
-      env, edges,
+  return RunJobOnSource<NodeId, NodeId, NodeId, EdgeId>(
+      env, edges, options,
       [](const NodeId& u, const NodeId& v, Emitter<NodeId, NodeId>& emit) {
         emit.Emit(u, v);
         emit.Emit(v, u);
       },
+      NoCombiner,
       [](const NodeId& u, const std::vector<NodeId>& neighbors,
          Emitter<NodeId, EdgeId>& emit) {
         emit.Emit(u, static_cast<EdgeId>(neighbors.size()));
@@ -107,22 +99,16 @@ StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJobCombined(
       stats);
 }
 
-std::vector<KV<NodeId, EdgeId>> MrDegreeJobCombined(MapReduceEnv& env,
-                                                    const MrEdges& edges,
-                                                    JobStats* stats) {
-  VectorRecordSource<NodeId, NodeId> source(edges);
-  return std::move(*MrDegreeJobCombined(env, source, JobOptions{}, stats));
-}
-
-std::vector<KV<uint64_t, EdgeId>> MrDirectedDegreeJob(MapReduceEnv& env,
-                                                      const MrEdges& arcs,
-                                                      JobStats* stats) {
-  return RunJob<uint64_t, NodeId, uint64_t, EdgeId>(
-      env, arcs,
+StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJob(
+    MapReduceEnv& env, MrEdgeSource& arcs, const JobOptions& options,
+    JobStats* stats) {
+  return RunJobOnSource<uint64_t, NodeId, uint64_t, EdgeId>(
+      env, arcs, options,
       [](const NodeId& u, const NodeId& v, Emitter<uint64_t, NodeId>& emit) {
         emit.Emit(2 * static_cast<uint64_t>(u), v);      // out-degree slot
         emit.Emit(2 * static_cast<uint64_t>(v) + 1, u);  // in-degree slot
       },
+      NoCombiner,
       [](const uint64_t& key, const std::vector<NodeId>& endpoints,
          Emitter<uint64_t, EdgeId>& emit) {
         emit.Emit(key, static_cast<EdgeId>(endpoints.size()));
@@ -156,12 +142,6 @@ StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env, MrEdgeSource& edges,
           SumCounts<EdgeId, NodeId, PartialCount>, stats);
   if (!totals.ok()) return totals.status();
   return totals->empty() ? EdgeId{0} : totals->front().value;
-}
-
-EdgeId MrCountEdgesJob(MapReduceEnv& env, const MrEdges& edges,
-                       JobStats* stats) {
-  VectorRecordSource<NodeId, NodeId> source(edges);
-  return *MrCountEdgesJob(env, source, JobOptions{}, stats);
 }
 
 StatusOr<MrEdges> MrRemoveNodesJob(MapReduceEnv& env, MrEdgeSource& edges,
@@ -209,14 +189,6 @@ StatusOr<MrEdges> MrRemoveNodesJob(MapReduceEnv& env, MrEdgeSource& edges,
       pass2_stats);
 }
 
-MrEdges MrRemoveNodesJob(MapReduceEnv& env, const MrEdges& edges,
-                         const NodeSet& marked, JobStats* pass1_stats,
-                         JobStats* pass2_stats) {
-  VectorRecordSource<NodeId, NodeId> source(edges);
-  return std::move(*MrRemoveNodesJob(env, source, marked, JobOptions{},
-                                     pass1_stats, pass2_stats));
-}
-
 StatusOr<MrEdges> MrRemoveArcsJob(MapReduceEnv& env, MrEdgeSource& arcs,
                                   const NodeSet& marked, bool by_source,
                                   const JobOptions& options,
@@ -240,14 +212,6 @@ StatusOr<MrEdges> MrRemoveArcsJob(MapReduceEnv& env, MrEdgeSource& arcs,
         RemovalReduce(k, values, emit, /*flip=*/!by_source);
       },
       stats);
-}
-
-MrEdges MrRemoveArcsJob(MapReduceEnv& env, const MrEdges& arcs,
-                        const NodeSet& marked, bool by_source,
-                        JobStats* stats) {
-  VectorRecordSource<NodeId, NodeId> source(arcs);
-  return std::move(
-      *MrRemoveArcsJob(env, source, marked, by_source, JobOptions{}, stats));
 }
 
 }  // namespace densest

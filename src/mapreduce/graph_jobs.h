@@ -3,11 +3,11 @@
 // edge list: density, per-node degrees, and the two-pass removal of marked
 // nodes and their incident edges.
 //
-// Every job has two forms: the primary one reads a RecordSource (so a job
-// can scan a disk- or generator-backed EdgeStream without materializing
-// it) and takes JobOptions for the shuffle spill budget; the vector form
-// wraps the input in a VectorRecordSource and keeps the original
-// infallible signatures for in-memory callers.
+// Every job has one form: it reads an MrEdgeSource (a StreamRecordSource
+// scans a disk- or generator-backed EdgeStream without materializing it; a
+// VectorRecordSource reads records already in memory), takes JobOptions
+// for the shuffle spill budget, and returns a StatusOr, since a stream
+// scan or a spill can fail.
 
 #ifndef DENSEST_MAPREDUCE_GRAPH_JOBS_H_
 #define DENSEST_MAPREDUCE_GRAPH_JOBS_H_
@@ -25,8 +25,9 @@ namespace densest {
 /// orientation; arcs are (source; target).
 using MrEdges = std::vector<KV<NodeId, NodeId>>;
 
-/// A RecordSource of such records (e.g. a StreamRecordSource over any
-/// EdgeStream, or a VectorRecordSource over MrEdges).
+/// The input of every job: a RecordSource of such records (e.g. a
+/// StreamRecordSource over any EdgeStream, or a VectorRecordSource over
+/// MrEdges).
 using MrEdgeSource = RecordSource<NodeId, NodeId>;
 
 /// The shuffle value type of the NodeId-keyed count jobs
@@ -40,14 +41,13 @@ using MrEdgeSource = RecordSource<NodeId, NodeId>;
 /// bytes, so a narrower value would save nothing.
 using PartialCount = uint32_t;
 
-/// Converts an in-memory edge vector into the MR representation.
-MrEdges ToMrEdges(const std::vector<Edge>& edges);
-
 /// §5.2 degree job: map (u;v) -> (u;v), (v;u); reduce counts neighbors.
 /// Output: one (u; deg) record per node with at least one incident edge.
-std::vector<KV<NodeId, EdgeId>> MrDegreeJob(MapReduceEnv& env,
-                                            const MrEdges& edges,
-                                            JobStats* stats = nullptr);
+/// The drivers run MrDegreeJobCombined; this uncombined form is its
+/// reference.
+StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJob(
+    MapReduceEnv& env, MrEdgeSource& edges, const JobOptions& options,
+    JobStats* stats = nullptr);
 
 /// Combiner-optimized degree job: maps to (u;1), (v;1) partial counts and
 /// sums them map-side before the shuffle (the classic Hadoop word-count
@@ -56,14 +56,14 @@ std::vector<KV<NodeId, EdgeId>> MrDegreeJob(MapReduceEnv& env,
 StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJobCombined(
     MapReduceEnv& env, MrEdgeSource& edges, const JobOptions& options,
     JobStats* stats = nullptr);
-std::vector<KV<NodeId, EdgeId>> MrDegreeJobCombined(
-    MapReduceEnv& env, const MrEdges& edges, JobStats* stats = nullptr);
 
 /// Directed degree job: one pass computing both |E(i, T)| out-degrees and
 /// |E(S, j)| in-degrees. Keys encode (node, side): key = 2*node + side,
-/// side 0 = out, side 1 = in.
-std::vector<KV<uint64_t, EdgeId>> MrDirectedDegreeJob(
-    MapReduceEnv& env, const MrEdges& arcs, JobStats* stats = nullptr);
+/// side 0 = out, side 1 = in. The reference of
+/// MrDirectedDegreeJobCombined, which the driver runs.
+StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJob(
+    MapReduceEnv& env, MrEdgeSource& arcs, const JobOptions& options,
+    JobStats* stats = nullptr);
 
 /// Combiner-optimized directed degree job (partial counts summed map-side;
 /// same output as MrDirectedDegreeJob).
@@ -78,8 +78,6 @@ StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJobCombined(
 StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env, MrEdgeSource& edges,
                                  const JobOptions& options,
                                  JobStats* stats = nullptr);
-EdgeId MrCountEdgesJob(MapReduceEnv& env, const MrEdges& edges,
-                       JobStats* stats = nullptr);
 
 /// §5.2 node-removal: two jobs. Pass 1 pivots on the first endpoint (the
 /// map keys each edge by u and adds a (v;$) marker per removed node v; a
@@ -93,9 +91,6 @@ StatusOr<MrEdges> MrRemoveNodesJob(MapReduceEnv& env, MrEdgeSource& edges,
                                    const JobOptions& options,
                                    JobStats* pass1_stats = nullptr,
                                    JobStats* pass2_stats = nullptr);
-MrEdges MrRemoveNodesJob(MapReduceEnv& env, const MrEdges& edges,
-                         const NodeSet& marked, JobStats* pass1_stats = nullptr,
-                         JobStats* pass2_stats = nullptr);
 
 /// One-sided removal for the directed algorithm: drops arcs whose
 /// *source* (if `by_source`) or *target* endpoint is marked. Single job.
@@ -103,9 +98,6 @@ StatusOr<MrEdges> MrRemoveArcsJob(MapReduceEnv& env, MrEdgeSource& arcs,
                                   const NodeSet& marked, bool by_source,
                                   const JobOptions& options,
                                   JobStats* stats = nullptr);
-MrEdges MrRemoveArcsJob(MapReduceEnv& env, const MrEdges& arcs,
-                        const NodeSet& marked, bool by_source,
-                        JobStats* stats = nullptr);
 
 }  // namespace densest
 

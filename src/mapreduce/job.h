@@ -5,21 +5,21 @@
 // CostModel, which converts the observed record/byte counts into simulated
 // wall-clock.
 //
-// Inputs are RecordSources: a job can read an in-memory vector, an
-// EdgeStream chunked through its NextView (mapreduce/stream_source.h), or
-// a concatenation of sources — so the MR drivers run on the same
-// out-of-core inputs as the streaming engines. The shuffle spills sorted
-// runs to temp files under a byte budget (mapreduce/shuffle.h), so its
-// resident memory follows the budget instead of |E|. The budget is a spill
-// threshold, not a cap. During the map phase, resident shuffle memory is
-// the partitions' shares of it plus one map round's output (held until
-// appended, and able to push a partition past its share, because the spill
-// check runs after each appended chunk). At reduce time it is the
-// partitions' unspilled tails plus merge buffers of at most one budget in
-// total: the merges in flight (one per reduce thread) split the budget
-// between them, and each splits its share over its runs. Only the floor of
-// 64 records per run can push the buffers past the budget, on a budget far
-// smaller than 64 records per run.
+// RunJobOnSource is the one job runner. Its input is a RecordSource: an
+// in-memory vector, an EdgeStream chunked through its NextView
+// (mapreduce/stream_source.h), or a concatenation of sources — so the MR
+// drivers run on the same out-of-core inputs as the streaming engines. The
+// shuffle spills sorted runs to temp files under a byte budget
+// (mapreduce/shuffle.h), so its resident memory follows the budget instead
+// of |E|. The budget is a spill threshold, not a cap. During the map phase,
+// resident shuffle memory is the partitions' shares of it plus one map
+// round's output (held until appended, and able to push a partition past its
+// share, because the spill check runs after each appended chunk). At reduce
+// time it is the partitions' unspilled tails plus merge buffers of at most
+// one budget in total: the merges in flight (one per reduce thread) split
+// the budget between them, and each splits its share over its runs. Only the
+// floor of 64 records per run can push the buffers past the budget, on a
+// budget far smaller than 64 records per run.
 //
 // Determinism: map chunks have a fixed record count (independent of the
 // thread count), their outputs are merged into the shuffle in chunk order,
@@ -379,35 +379,6 @@ StatusOr<std::vector<KV<K3, V3>>> RunJobOnSource(
 
   if (stats_out != nullptr) *stats_out = stats;
   return output;
-}
-
-/// In-memory convenience overload: runs the job over a vector with the
-/// default (never-spilling) options. Cannot fail — vector sources are
-/// infallible and nothing spills.
-template <typename K2, typename V2, typename K3, typename V3, typename K1,
-          typename V1, typename MapFn, typename CombineFn, typename ReduceFn>
-std::vector<KV<K3, V3>> RunJobWithCombiner(
-    MapReduceEnv& env, const std::vector<KV<K1, V1>>& input, MapFn&& map_fn,
-    CombineFn&& combine_fn, ReduceFn&& reduce_fn,
-    JobStats* stats_out = nullptr) {
-  VectorRecordSource<K1, V1> source(input);
-  StatusOr<std::vector<KV<K3, V3>>> out = RunJobOnSource<K2, V2, K3, V3>(
-      env, source, JobOptions{}, std::forward<MapFn>(map_fn),
-      std::forward<CombineFn>(combine_fn), std::forward<ReduceFn>(reduce_fn),
-      stats_out);
-  return std::move(*out);
-}
-
-/// Combiner-free convenience wrapper (the common case).
-template <typename K2, typename V2, typename K3, typename V3, typename K1,
-          typename V1, typename MapFn, typename ReduceFn>
-std::vector<KV<K3, V3>> RunJob(MapReduceEnv& env,
-                               const std::vector<KV<K1, V1>>& input,
-                               MapFn&& map_fn, ReduceFn&& reduce_fn,
-                               JobStats* stats_out = nullptr) {
-  return RunJobWithCombiner<K2, V2, K3, V3>(
-      env, input, std::forward<MapFn>(map_fn), NoCombiner,
-      std::forward<ReduceFn>(reduce_fn), stats_out);
 }
 
 }  // namespace densest

@@ -5,7 +5,6 @@
 
 #include "core/peel_runs.h"
 #include "mapreduce/stream_source.h"
-#include "stream/memory_stream.h"
 
 namespace densest {
 
@@ -109,21 +108,12 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
       pass_stats.Accumulate(removal1);
       pass_stats.Accumulate(removal2);
     }
-    out.pass_seconds.push_back(pass_stats.simulated_seconds);
     out.pass_stats.push_back(pass_stats);
-    out.totals.Accumulate(pass_stats);
   }
 
   out.result = peel.Finish();
   out.input_scans = input.input_scans();
   return out;
-}
-
-StatusOr<MrDensestResult> RunMrDensestUndirected(
-    MapReduceEnv& env, const EdgeList& graph,
-    const MrDensestOptions& options) {
-  EdgeListStream stream(graph);
-  return RunMrDensestUndirected(env, stream, options);
 }
 
 StatusOr<MrDirectedResult> RunMrDensestDirected(
@@ -182,21 +172,12 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
       input.ReplaceWithSurvivors(std::move(*survivors));
       pass_stats.Accumulate(removal_stats);
     }
-    out.pass_seconds.push_back(pass_stats.simulated_seconds);
     out.pass_stats.push_back(pass_stats);
-    out.totals.Accumulate(pass_stats);
   }
 
   out.result = peel.Finish();
   out.input_scans = input.input_scans();
   return out;
-}
-
-StatusOr<MrDirectedResult> RunMrDensestDirected(
-    MapReduceEnv& env, const EdgeList& arcs_in,
-    const MrDirectedOptions& options) {
-  EdgeListStream stream(arcs_in);
-  return RunMrDensestDirected(env, stream, options);
 }
 
 }  // namespace densest

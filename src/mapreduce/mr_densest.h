@@ -1,7 +1,9 @@
 // Copyright 2026 The densest Authors.
 // Full MapReduce realizations of Algorithm 1 (undirected) and Algorithm 3
 // (directed): the drivers orchestrate the §5.2 jobs pass by pass and
-// collect the simulated per-pass cluster time (Figure 6.7). The jobs only
+// collect each pass's job counters, simulated cluster time included
+// (Figure 6.7), in pass_stats: the one per-pass store. Run totals are
+// their sum (SumJobStats), taken where they are printed. The jobs only
 // compute a pass's edge count and degrees; every decision — best subgraph,
 // threshold, peel, trace, end of run, band — is made by the same peel step
 // the streaming algorithms take (UndirectedPeel / DirectedPeel in
@@ -20,11 +22,11 @@
 #ifndef DENSEST_MAPREDUCE_MR_DENSEST_H_
 #define DENSEST_MAPREDUCE_MR_DENSEST_H_
 
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "core/density.h"
-#include "graph/edge_list.h"
 #include "mapreduce/graph_jobs.h"
 #include "mapreduce/job.h"
 #include "stream/edge_stream.h"
@@ -48,14 +50,11 @@ struct MrDensestOptions {
 /// \brief Result plus cluster accounting.
 struct [[nodiscard]] MrDensestResult {
   UndirectedDensestResult result;
-  /// Simulated cluster seconds per pass (sums the pass's jobs) —
-  /// the series of Figure 6.7.
-  std::vector<double> pass_seconds;
-  /// Aggregated job counters per pass (parallel to pass_seconds); the
-  /// combiner/spill gates read these.
+  /// Job counters summed over each pass's jobs, one entry per pass (and so
+  /// one per trace snapshot when the trace is recorded). Their
+  /// simulated_seconds are the series of Figure 6.7; the combiner/spill
+  /// gates read the rest.
   std::vector<JobStats> pass_stats;
-  /// Counters summed over this run's jobs (the sum of pass_stats).
-  JobStats totals;
   /// Physical scans of the input stream (each first-pass job re-scans it;
   /// once the removal job has materialized the survivors, later passes run
   /// in memory and scan nothing).
@@ -69,11 +68,6 @@ struct [[nodiscard]] MrDensestResult {
 /// ignored).
 StatusOr<MrDensestResult> RunMrDensestUndirected(MapReduceEnv& env,
                                                  EdgeStream& stream,
-                                                 const MrDensestOptions& options);
-
-/// Convenience overload over an in-memory edge list.
-StatusOr<MrDensestResult> RunMrDensestUndirected(MapReduceEnv& env,
-                                                 const EdgeList& graph,
                                                  const MrDensestOptions& options);
 
 /// \brief Knobs for the directed MapReduce driver (one ratio c).
@@ -92,9 +86,8 @@ struct MrDirectedOptions {
 /// \brief Directed result plus cluster accounting.
 struct [[nodiscard]] MrDirectedResult {
   DirectedDensestResult result;
-  std::vector<double> pass_seconds;
+  /// See MrDensestResult.
   std::vector<JobStats> pass_stats;
-  JobStats totals;
   uint64_t input_scans = 0;
 };
 
@@ -103,11 +96,6 @@ struct [[nodiscard]] MrDirectedResult {
 /// included.
 StatusOr<MrDirectedResult> RunMrDensestDirected(MapReduceEnv& env,
                                                 EdgeStream& stream,
-                                                const MrDirectedOptions& options);
-
-/// Convenience overload over an in-memory arc list.
-StatusOr<MrDirectedResult> RunMrDensestDirected(MapReduceEnv& env,
-                                                const EdgeList& arcs,
                                                 const MrDirectedOptions& options);
 
 }  // namespace densest

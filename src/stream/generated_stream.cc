@@ -6,19 +6,16 @@
 
 namespace densest {
 
-GnpEdgeStream::GnpEdgeStream(NodeId n, double p, uint64_t seed,
-                             size_t materialize_budget_bytes)
+GnpEdgeStream::GnpEdgeStream(NodeId n, double p, uint64_t seed)
     : n_(n),
       p_(p),
       seed_(seed),
       log1mp_(p > 0 && p < 1 ? std::log(1.0 - p) : 0.0),
-      rng_(seed),
-      cache_(materialize_budget_bytes) {
+      rng_(seed) {
   Reset();
 }
 
 void GnpEdgeStream::Reset() {
-  cache_.OnReset();
   rng_ = Rng(seed_);
   u_ = -1;
   v_ = 1;
@@ -58,39 +55,23 @@ bool GnpEdgeStream::GenerateNext(Edge* e) {
 }
 
 std::span<const Edge> GnpEdgeStream::NextView(Edge* scratch, size_t cap) {
-  if (cache_.serving()) return cache_.NextView(cap);
   size_t produced = 0;
-  while (produced < cap && GenerateNext(&scratch[produced])) {
-    cache_.Record(scratch[produced++]);
-  }
-  // Short of `cap` only when the generator ran dry: the pass is complete.
-  if (produced < cap) cache_.MarkComplete();
+  while (produced < cap && GenerateNext(&scratch[produced])) ++produced;
   return {scratch, produced};
 }
 
-CirculantEdgeStream::CirculantEdgeStream(NodeId n, NodeId d,
-                                         size_t materialize_budget_bytes)
-    : n_(n),
-      d_(d),
-      // The pass length is known up front: either the whole pass fits the
-      // budget or recording is pointless, so decide here.
-      cache_(static_cast<EdgeId>(n) * (d / 2) * sizeof(Edge) <=
-                     materialize_budget_bytes
-                 ? materialize_budget_bytes
-                 : 0) {
+CirculantEdgeStream::CirculantEdgeStream(NodeId n, NodeId d) : n_(n), d_(d) {
   assert(d % 2 == 0 && d < n);
   Reset();
 }
 
 void CirculantEdgeStream::Reset() {
-  cache_.OnReset();
   node_ = 0;
   offset_ = 1;
 }
 
 std::span<const Edge> CirculantEdgeStream::NextView(Edge* scratch,
                                                     size_t cap) {
-  if (cache_.serving()) return cache_.NextView(cap);
   size_t produced = 0;
   while (produced < cap && d_ != 0 && offset_ <= d_ / 2) {
     // Emit the rest of the current offset ring in one tight loop.
@@ -108,10 +89,6 @@ std::span<const Edge> CirculantEdgeStream::NextView(Edge* scratch,
       ++offset_;
     }
   }
-  for (size_t i = 0; i < produced; ++i) cache_.Record(scratch[i]);
-  // Complete only on actual generator exhaustion — a cap==0 call mid-pass
-  // must not promote a partial recording.
-  if (d_ == 0 || offset_ > d_ / 2) cache_.MarkComplete();
   return {scratch, produced};
 }
 

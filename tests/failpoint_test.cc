@@ -21,7 +21,9 @@
 #include "io/spill_file.h"
 #include "mapreduce/graph_jobs.h"
 #include "mapreduce/job.h"
+#include "mapreduce/stream_source.h"
 #include "stream/file_stream.h"
+#include "stream/memory_stream.h"
 #include "stream/pass_stats.h"
 #include "stream/update_stream.h"
 
@@ -407,8 +409,8 @@ StatusOr<std::vector<KV<NodeId, EdgeId>>> RunSpilledDegreeJob(
     JobStats* stats) {
   EdgeList el = ErdosRenyiGnm(300, 4000, 21);
   MapReduceEnv env({}, 4);
-  const std::vector<KV<NodeId, NodeId>> records = ToMrEdges(el.edges());
-  VectorRecordSource<NodeId, NodeId> source(records);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
   JobOptions opts;
   opts.spill_budget_bytes = 1;
   return MrDegreeJobCombined(env, source, opts, stats);

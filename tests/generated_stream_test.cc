@@ -95,97 +95,5 @@ TEST(CirculantEdgeStreamTest, RegularGraphDensityViaAlgorithm1) {
   EXPECT_EQ(r->passes, 1u);
 }
 
-// ---------------------------------------------------------------------------
-// First-pass materialization (EdgeCache).
-
-TEST(MaterializeTest, GnpReplayMatchesRegeneration) {
-  GnpEdgeStream plain(300, 0.04, 77);
-  GnpEdgeStream cached(300, 0.04, 77, /*materialize_budget_bytes=*/1 << 20);
-  const auto want = Drain(plain);
-  // Pass 1 records, passes 2 and 3 replay from memory; all must be equal.
-  EXPECT_EQ(Drain(cached), want);
-  EXPECT_EQ(cached.SizeHint(), 0u);  // not yet promoted: Drain stops at end,
-                                     // promotion happens on the next Reset
-  EXPECT_EQ(Drain(cached), want);
-  EXPECT_EQ(cached.SizeHint(), want.size());  // now serving from the cache
-  EXPECT_EQ(Drain(cached), want);
-}
-
-TEST(MaterializeTest, GnpServesZeroCopyViews) {
-  GnpEdgeStream s(200, 0.05, 79, /*materialize_budget_bytes=*/1 << 20);
-  const auto want = Drain(s);
-  s.Reset();  // promotes the recorded pass
-  std::vector<std::pair<NodeId, NodeId>> got;
-  Edge scratch[64];
-  for (;;) {
-    auto view = s.NextView(scratch, 64);
-    if (view.empty()) break;
-    // Zero-copy: views point into the cache, not the scratch buffer.
-    EXPECT_TRUE(view.data() < scratch || view.data() >= scratch + 64);
-    for (const Edge& e : view) got.emplace_back(e.u, e.v);
-  }
-  EXPECT_EQ(got, want);
-}
-
-TEST(MaterializeTest, BudgetBlownFallsBackToRegeneration) {
-  // A ~2000-edge graph against a 10-edge budget: caching must abandon and
-  // every pass regenerate, identical to the uncached stream.
-  GnpEdgeStream plain(300, 0.05, 81);
-  GnpEdgeStream cached(300, 0.05, 81,
-                       /*materialize_budget_bytes=*/10 * sizeof(Edge));
-  const auto want = Drain(plain);
-  EXPECT_GT(want.size(), 10u);
-  EXPECT_EQ(Drain(cached), want);
-  EXPECT_EQ(Drain(cached), want);
-  EXPECT_EQ(cached.SizeHint(), 0u);  // never promoted
-}
-
-TEST(MaterializeTest, IncompleteFirstPassRestartsRecording) {
-  GnpEdgeStream s(300, 0.04, 83, /*materialize_budget_bytes=*/1 << 20);
-  Edge e;
-  s.Reset();
-  for (int i = 0; i < 5; ++i) ASSERT_TRUE(s.Next(&e));  // partial pass
-  GnpEdgeStream plain(300, 0.04, 83);
-  EXPECT_EQ(Drain(s), Drain(plain));  // restart records cleanly
-  EXPECT_EQ(Drain(s), Drain(plain));  // and replays correctly
-}
-
-TEST(MaterializeTest, CirculantCachedMatchesAndKnowsBudgetUpfront) {
-  CirculantEdgeStream plain(101, 6);
-  CirculantEdgeStream cached(101, 6, /*materialize_budget_bytes=*/1 << 20);
-  // 101*3 edges * 16 bytes ~ 4.8 KB: too big for a 1 KB budget.
-  CirculantEdgeStream tiny(101, 6, /*materialize_budget_bytes=*/1 << 10);
-  const auto want = Drain(plain);
-  for (int pass = 0; pass < 3; ++pass) {
-    EXPECT_EQ(Drain(cached), want) << pass;
-    EXPECT_EQ(Drain(tiny), want) << pass;
-  }
-}
-
-TEST(MaterializeTest, ZeroCapNextBatchDoesNotCompleteARecording) {
-  CirculantEdgeStream s(20, 4, /*materialize_budget_bytes=*/1 << 20);
-  Edge buf[8];
-  s.Reset();
-  ASSERT_EQ(s.NextBatch(buf, 8), 8u);   // partial pass recorded
-  EXPECT_EQ(s.NextBatch(buf, 0), 0u);   // must NOT mark the pass complete
-  CirculantEdgeStream plain(20, 4);
-  EXPECT_EQ(Drain(s), Drain(plain));    // restart records the full pass
-  EXPECT_EQ(Drain(s), Drain(plain));    // replay serves the full pass
-}
-
-TEST(MaterializeTest, Algorithm1IdenticalWithAndWithoutCache) {
-  Algorithm1Options opt;
-  opt.epsilon = 0.5;
-  GnpEdgeStream plain(1000, 0.02, 87);
-  GnpEdgeStream cached(1000, 0.02, 87, /*materialize_budget_bytes=*/8 << 20);
-  auto r1 = RunAlgorithm1(plain, opt);
-  auto r2 = RunAlgorithm1(cached, opt);
-  ASSERT_TRUE(r1.ok());
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r1->density, r2->density);
-  EXPECT_EQ(r1->passes, r2->passes);
-  EXPECT_EQ(r1->nodes, r2->nodes);
-}
-
 }  // namespace
 }  // namespace densest

@@ -108,7 +108,8 @@ TEST(IntegrationTest, MapReduceMatchesStreamingOnSocialGraph) {
   MapReduceEnv env;
   MrDensestOptions mr_opt;
   mr_opt.epsilon = 1.0;
-  auto mr = RunMrDensestUndirected(env, el, mr_opt);
+  EdgeListStream stream(el);
+  auto mr = RunMrDensestUndirected(env, stream, mr_opt);
   ASSERT_TRUE(mr.ok());
   EXPECT_EQ(mr->result.nodes, streaming->nodes);
   EXPECT_EQ(mr->result.passes, streaming->passes);

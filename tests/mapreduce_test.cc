@@ -15,7 +15,9 @@
 #include "mapreduce/graph_jobs.h"
 #include "mapreduce/job.h"
 #include "mapreduce/mr_densest.h"
+#include "mapreduce/stream_source.h"
 #include "common/thread_pool.h"
+#include "stream/memory_stream.h"
 
 namespace densest {
 namespace {
@@ -71,16 +73,20 @@ TEST(RunJobTest, WordCountStyleAggregation) {
   for (uint32_t i = 0; i < 10; ++i) input.push_back({i, i % 3});
 
   JobStats stats;
-  auto counts = RunJob<uint32_t, uint32_t, uint32_t, uint64_t>(
-      env, input,
+  VectorRecordSource<uint32_t, uint32_t> source(input);
+  auto out = RunJobOnSource<uint32_t, uint32_t, uint32_t, uint64_t>(
+      env, source, JobOptions{},
       [](const uint32_t&, const uint32_t& group,
          Emitter<uint32_t, uint32_t>& emit) { emit.Emit(group, 1); },
+      NoCombiner,
       [](const uint32_t& key, const std::vector<uint32_t>& ones,
          Emitter<uint32_t, uint64_t>& emit) {
         emit.Emit(key, ones.size());
       },
       &stats);
+  ASSERT_TRUE(out.ok());
 
+  std::vector<KV<uint32_t, uint64_t>>& counts = *out;
   std::sort(counts.begin(), counts.end(),
             [](const auto& a, const auto& b) { return a.key < b.key; });
   ASSERT_EQ(counts.size(), 3u);
@@ -99,19 +105,22 @@ TEST(RunJobTest, DeterministicAcrossThreadCounts) {
 
   auto run = [&](size_t threads) {
     MapReduceEnv env({}, threads);
-    auto out = RunJob<uint32_t, uint32_t, uint32_t, uint64_t>(
-        env, input,
+    VectorRecordSource<uint32_t, uint32_t> source(input);
+    auto out = RunJobOnSource<uint32_t, uint32_t, uint32_t, uint64_t>(
+        env, source, JobOptions{},
         [](const uint32_t& k, const uint32_t& v,
            Emitter<uint32_t, uint32_t>& emit) { emit.Emit(k, v); },
+        NoCombiner,
         [](const uint32_t& key, const std::vector<uint32_t>& vs,
            Emitter<uint32_t, uint64_t>& emit) {
           uint64_t sum = 0;
           for (uint32_t v : vs) sum += v;
           emit.Emit(key, sum);
         });
-    std::sort(out.begin(), out.end(),
+    EXPECT_TRUE(out.ok());
+    std::sort(out->begin(), out->end(),
               [](const auto& a, const auto& b) { return a.key < b.key; });
-    return out;
+    return std::move(*out);
   };
 
   auto a = run(1), b = run(8);
@@ -130,9 +139,13 @@ TEST(GraphJobsTest, DegreeJobMatchesCsrDegrees) {
   UndirectedGraph g = std::move(b.BuildUndirected()).value();
 
   MapReduceEnv env;
-  auto degrees = MrDegreeJob(env, ToMrEdges(g.ToEdgeList().edges()));
+  const EdgeList edges = g.ToEdgeList();
+  EdgeListStream stream(edges);
+  StreamRecordSource source(stream);
+  auto degrees = MrDegreeJob(env, source, JobOptions{});
+  ASSERT_TRUE(degrees.ok());
   std::vector<EdgeId> deg(g.num_nodes(), 0);
-  for (const auto& kv : degrees) deg[kv.key] = kv.value;
+  for (const auto& kv : *degrees) deg[kv.key] = kv.value;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(deg[u], g.Degree(u)) << "u=" << u;
   }
@@ -141,21 +154,25 @@ TEST(GraphJobsTest, DegreeJobMatchesCsrDegrees) {
 TEST(GraphJobsTest, CombinedDegreeJobMatchesPlainDegreeJob) {
   EdgeList el = ErdosRenyiGnm(300, 2000, 82);
   MapReduceEnv env;
-  MrEdges edges = ToMrEdges(el.edges());
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
 
   JobStats plain_stats, combined_stats;
-  auto plain = MrDegreeJob(env, edges, &plain_stats);
-  auto combined = MrDegreeJobCombined(env, edges, &combined_stats);
+  auto plain = MrDegreeJob(env, source, JobOptions{}, &plain_stats);
+  auto combined =
+      MrDegreeJobCombined(env, source, JobOptions{}, &combined_stats);
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(combined.ok());
 
   auto by_key = [](const KV<NodeId, EdgeId>& a, const KV<NodeId, EdgeId>& b) {
     return a.key < b.key;
   };
-  std::sort(plain.begin(), plain.end(), by_key);
-  std::sort(combined.begin(), combined.end(), by_key);
-  ASSERT_EQ(plain.size(), combined.size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].key, combined[i].key);
-    EXPECT_EQ(plain[i].value, combined[i].value);
+  std::sort(plain->begin(), plain->end(), by_key);
+  std::sort(combined->begin(), combined->end(), by_key);
+  ASSERT_EQ(plain->size(), combined->size());
+  for (size_t i = 0; i < plain->size(); ++i) {
+    EXPECT_EQ((*plain)[i].key, (*combined)[i].key);
+    EXPECT_EQ((*plain)[i].value, (*combined)[i].value);
   }
 
   // The combiner is what crosses the shuffle: fewer records, fewer bytes.
@@ -169,13 +186,15 @@ TEST(GraphJobsTest, CombinerInvarianceAcrossThreadCounts) {
   // Chunking changes which records each combiner sees; the final counts
   // must not.
   EdgeList el = ErdosRenyiGnm(200, 1500, 84);
-  MrEdges edges = ToMrEdges(el.edges());
   auto run = [&](size_t threads) {
     MapReduceEnv env({}, threads);
-    auto out = MrDegreeJobCombined(env, edges);
-    std::sort(out.begin(), out.end(),
+    EdgeListStream stream(el);
+    StreamRecordSource source(stream);
+    auto out = MrDegreeJobCombined(env, source, JobOptions{});
+    EXPECT_TRUE(out.ok());
+    std::sort(out->begin(), out->end(),
               [](const auto& a, const auto& b) { return a.key < b.key; });
-    return out;
+    return std::move(*out);
   };
   auto a = run(1), b = run(8);
   ASSERT_EQ(a.size(), b.size());
@@ -189,9 +208,12 @@ TEST(GraphJobsTest, DirectedDegreeJobMatchesCsr) {
   EdgeList el = ErdosRenyiDirectedGnm(150, 900, 83);
   DirectedGraph g = DirectedGraph::FromEdgeList(el);
   MapReduceEnv env;
-  auto degrees = MrDirectedDegreeJob(env, ToMrEdges(el.edges()));
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
+  auto degrees = MrDirectedDegreeJob(env, source, JobOptions{});
+  ASSERT_TRUE(degrees.ok());
   std::vector<EdgeId> out_deg(g.num_nodes(), 0), in_deg(g.num_nodes(), 0);
-  for (const auto& kv : degrees) {
+  for (const auto& kv : *degrees) {
     NodeId node = static_cast<NodeId>(kv.key >> 1);
     (kv.key & 1 ? in_deg : out_deg)[node] = kv.value;
   }
@@ -204,8 +226,16 @@ TEST(GraphJobsTest, DirectedDegreeJobMatchesCsr) {
 TEST(GraphJobsTest, CountEdgesJob) {
   EdgeList el = ErdosRenyiGnm(100, 321, 85);
   MapReduceEnv env;
-  EXPECT_EQ(MrCountEdgesJob(env, ToMrEdges(el.edges())), 321u);
-  EXPECT_EQ(MrCountEdgesJob(env, {}), 0u);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
+  auto count = MrCountEdgesJob(env, source, JobOptions{});
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(*count, 321u);
+  const MrEdges none;
+  VectorRecordSource<NodeId, NodeId> empty(none);
+  auto zero = MrCountEdgesJob(env, empty, JobOptions{});
+  ASSERT_TRUE(zero.ok());
+  EXPECT_EQ(*zero, 0u);
 }
 
 TEST(GraphJobsTest, RemoveNodesDropsExactlyIncidentEdges) {
@@ -218,10 +248,13 @@ TEST(GraphJobsTest, RemoveNodesDropsExactlyIncidentEdges) {
   MapReduceEnv env;
   NodeSet marked(4);
   marked.Insert(2);
-  MrEdges out = MrRemoveNodesJob(env, ToMrEdges(el.edges()), marked);
-  ASSERT_EQ(out.size(), 1u);
-  NodeId a = std::min(out[0].key, out[0].value);
-  NodeId bb = std::max(out[0].key, out[0].value);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
+  auto out = MrRemoveNodesJob(env, source, marked, JobOptions{});
+  ASSERT_TRUE(out.ok());
+  ASSERT_EQ(out->size(), 1u);
+  NodeId a = std::min((*out)[0].key, (*out)[0].value);
+  NodeId bb = std::max((*out)[0].key, (*out)[0].value);
   EXPECT_EQ(a, 0u);
   EXPECT_EQ(bb, 1u);
 }
@@ -234,8 +267,11 @@ TEST(GraphJobsTest, RemoveNodesHandlesBothEndpointOrientations) {
   MapReduceEnv env;
   NodeSet marked(3);
   marked.Insert(2);
-  MrEdges out = MrRemoveNodesJob(env, ToMrEdges(el.edges()), marked);
-  EXPECT_TRUE(out.empty());
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
+  auto out = MrRemoveNodesJob(env, source, marked, JobOptions{});
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->empty());
 }
 
 TEST(GraphJobsTest, RemoveArcsBySourceAndTarget) {
@@ -246,17 +282,21 @@ TEST(GraphJobsTest, RemoveArcsBySourceAndTarget) {
   MapReduceEnv env;
   NodeSet marked(4);
   marked.Insert(1);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
 
-  MrEdges by_src = MrRemoveArcsJob(env, ToMrEdges(el.edges()), marked,
-                                   /*by_source=*/true);
+  auto by_src =
+      MrRemoveArcsJob(env, source, marked, /*by_source=*/true, JobOptions{});
+  ASSERT_TRUE(by_src.ok());
   // Only arc 1->2 has source 1.
-  ASSERT_EQ(by_src.size(), 2u);
+  ASSERT_EQ(by_src->size(), 2u);
 
-  MrEdges by_dst = MrRemoveArcsJob(env, ToMrEdges(el.edges()), marked,
-                                   /*by_source=*/false);
+  auto by_dst =
+      MrRemoveArcsJob(env, source, marked, /*by_source=*/false, JobOptions{});
+  ASSERT_TRUE(by_dst.ok());
   // Only arc 0->1 has target 1.
-  ASSERT_EQ(by_dst.size(), 2u);
-  for (const auto& kv : by_dst) EXPECT_NE(kv.value, 1u);
+  ASSERT_EQ(by_dst->size(), 2u);
+  for (const auto& kv : *by_dst) EXPECT_NE(kv.value, 1u);
 }
 
 // ---- Driver equivalence with the streaming algorithms. ----
@@ -281,7 +321,8 @@ TEST_P(MrUndirectedEquivalenceTest, MatchesStreamingAlgorithm1) {
   MapReduceEnv env;
   MrDensestOptions mr_opt;
   mr_opt.epsilon = 0.5;
-  auto mr = RunMrDensestUndirected(env, el, mr_opt);
+  EdgeListStream stream(el);
+  auto mr = RunMrDensestUndirected(env, stream, mr_opt);
   ASSERT_TRUE(mr.ok());
 
   EXPECT_EQ(mr->result.nodes, streaming->nodes) << "seed=" << seed;
@@ -290,8 +331,11 @@ TEST_P(MrUndirectedEquivalenceTest, MatchesStreamingAlgorithm1) {
   ASSERT_EQ(streaming->trace.size(), streaming->passes);
   EXPECT_EQ(mr->result.trace, streaming->trace);  // every snapshot field
   EXPECT_EQ(mr->result.certified_band, streaming->certified_band);
-  EXPECT_EQ(mr->pass_seconds.size(), mr->result.passes);
-  for (double s : mr->pass_seconds) EXPECT_GT(s, 0.0);
+  // One pass_stats entry per trace snapshot: the CLI's --trace table
+  // indexes one by the other.
+  EXPECT_EQ(mr->pass_stats.size(), mr->result.trace.size());
+  EXPECT_EQ(mr->pass_stats.size(), mr->result.passes);
+  for (const JobStats& s : mr->pass_stats) EXPECT_GT(s.simulated_seconds, 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(MrSweep, MrUndirectedEquivalenceTest,
@@ -315,7 +359,8 @@ TEST_P(MrDirectedEquivalenceTest, MatchesStreamingAlgorithm3) {
   MrDirectedOptions mr_opt;
   mr_opt.c = 2.0;
   mr_opt.epsilon = 1.0;
-  auto mr = RunMrDensestDirected(env, el, mr_opt);
+  EdgeListStream stream(el);
+  auto mr = RunMrDensestDirected(env, stream, mr_opt);
   ASSERT_TRUE(mr.ok());
 
   EXPECT_EQ(mr->result.s_nodes, streaming->s_nodes) << "seed=" << seed;
@@ -325,6 +370,7 @@ TEST_P(MrDirectedEquivalenceTest, MatchesStreamingAlgorithm3) {
   ASSERT_EQ(streaming->trace.size(), streaming->passes);
   EXPECT_EQ(mr->result.trace, streaming->trace);  // every snapshot field
   EXPECT_EQ(mr->result.certified_band, streaming->certified_band);
+  EXPECT_EQ(mr->pass_stats.size(), mr->result.trace.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(MrDirectedSweep, MrDirectedEquivalenceTest,
@@ -334,13 +380,16 @@ TEST(MrDriverTest, InvalidArguments) {
   MapReduceEnv env;
   EdgeList el(3);
   el.Add(0, 1);
+  EdgeListStream stream(el);
   MrDensestOptions bad;
   bad.epsilon = -1;
-  EXPECT_FALSE(RunMrDensestUndirected(env, el, bad).ok());
-  EXPECT_FALSE(RunMrDensestUndirected(env, EdgeList(0), {}).ok());
+  EXPECT_FALSE(RunMrDensestUndirected(env, stream, bad).ok());
+  const EdgeList no_nodes(0);
+  EdgeListStream empty(no_nodes);
+  EXPECT_FALSE(RunMrDensestUndirected(env, empty, {}).ok());
   MrDirectedOptions bad_dir;
   bad_dir.c = 0;
-  EXPECT_FALSE(RunMrDensestDirected(env, el, bad_dir).ok());
+  EXPECT_FALSE(RunMrDensestDirected(env, stream, bad_dir).ok());
 }
 
 /// 495 disjoint edges (arcs u -> u+1) plus a K10 on nodes 990..999, as
@@ -363,7 +412,9 @@ TEST(MrDriverTest, CappedRunsAreUncertified) {
   MrDensestOptions opt;
   opt.epsilon = 0.0;
   opt.max_passes = 1;
-  auto mr = RunMrDensestUndirected(env, MatchingPlusK10(false), opt);
+  const EdgeList el = MatchingPlusK10(false);
+  EdgeListStream stream(el);
+  auto mr = RunMrDensestUndirected(env, stream, opt);
   ASSERT_TRUE(mr.ok());
   EXPECT_EQ(mr->result.passes, 1u);
   EXPECT_DOUBLE_EQ(mr->result.density, 0.54);
@@ -373,7 +424,9 @@ TEST(MrDriverTest, CappedRunsAreUncertified) {
   MrDirectedOptions dir_opt;
   dir_opt.epsilon = 0.0;
   dir_opt.max_passes = 1;
-  auto dir = RunMrDensestDirected(env, MatchingPlusK10(true), dir_opt);
+  const EdgeList arcs = MatchingPlusK10(true);
+  EdgeListStream arc_stream(arcs);
+  auto dir = RunMrDensestDirected(env, arc_stream, dir_opt);
   ASSERT_TRUE(dir.ok());
   EXPECT_EQ(dir->result.passes, 1u);
   EXPECT_DOUBLE_EQ(dir->result.density, 0.585);
@@ -389,7 +442,8 @@ TEST(MrDriverTest, ZeroMaxPassesMeansUncapped) {
   MrDensestOptions opt;
   opt.epsilon = 0.0;
   opt.max_passes = 0;
-  auto mr = RunMrDensestUndirected(env, el, opt);
+  EdgeListStream stream(el);
+  auto mr = RunMrDensestUndirected(env, stream, opt);
   ASSERT_TRUE(mr.ok());
   EXPECT_EQ(mr->result.passes, 2u);
   EXPECT_DOUBLE_EQ(mr->result.density, 4.5);
@@ -400,7 +454,8 @@ TEST(MrDriverTest, ZeroMaxPassesMeansUncapped) {
   MrDirectedOptions dir_opt;
   dir_opt.epsilon = 0.0;
   dir_opt.max_passes = 0;
-  auto dir = RunMrDensestDirected(env, arcs, dir_opt);
+  EdgeListStream arc_stream(arcs);
+  auto dir = RunMrDensestDirected(env, arc_stream, dir_opt);
   ASSERT_TRUE(dir.ok());
   auto streaming = RunAlgorithm3(
       DirectedGraph::FromEdgeList(arcs),
@@ -413,27 +468,29 @@ TEST(MrDriverTest, ZeroMaxPassesMeansUncapped) {
 }
 
 TEST(MrDriverTest, TotalsCoverOneRun) {
-  // totals sums the run's own jobs, not every job the env ever ran.
+  // A run's pass_stats cover its own jobs, not every job the env ever ran:
+  // a second run on the same env sums to the same totals.
   const EdgeList el = ErdosRenyiGnm(200, 1900, 17);
+  EdgeListStream stream(el);
   MapReduceEnv env;
   MrDensestOptions opt;
-  auto first = RunMrDensestUndirected(env, el, opt);
-  auto second = RunMrDensestUndirected(env, el, opt);
+  auto first = RunMrDensestUndirected(env, stream, opt);
+  auto second = RunMrDensestUndirected(env, stream, opt);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  EXPECT_GT(first->totals.map_input_records, 0u);
-  EXPECT_EQ(second->totals.map_input_records, first->totals.map_input_records);
-  EXPECT_EQ(second->totals.shuffle_bytes, first->totals.shuffle_bytes);
-  JobStats sum;
-  for (const JobStats& s : first->pass_stats) sum.Accumulate(s);
-  EXPECT_EQ(first->totals.map_input_records, sum.map_input_records);
+  const JobStats first_total = SumJobStats(first->pass_stats);
+  const JobStats second_total = SumJobStats(second->pass_stats);
+  EXPECT_GT(first_total.map_input_records, 0u);
+  EXPECT_EQ(second_total.map_input_records, first_total.map_input_records);
+  EXPECT_EQ(second_total.shuffle_bytes, first_total.shuffle_bytes);
+  EXPECT_EQ(second->pass_stats.size(), first->pass_stats.size());
 
-  auto dir_first = RunMrDensestDirected(env, el, {});
-  auto dir_second = RunMrDensestDirected(env, el, {});
+  auto dir_first = RunMrDensestDirected(env, stream, {});
+  auto dir_second = RunMrDensestDirected(env, stream, {});
   ASSERT_TRUE(dir_first.ok());
   ASSERT_TRUE(dir_second.ok());
-  EXPECT_EQ(dir_second->totals.map_input_records,
-            dir_first->totals.map_input_records);
+  EXPECT_EQ(SumJobStats(dir_second->pass_stats).map_input_records,
+            SumJobStats(dir_first->pass_stats).map_input_records);
 }
 
 TEST(MrDriverTest, SimulatedTimeDecaysAcrossPasses) {
@@ -454,11 +511,14 @@ TEST(MrDriverTest, SimulatedTimeDecaysAcrossPasses) {
   MapReduceEnv env(model);
   MrDensestOptions opt;
   opt.epsilon = 0.5;
-  auto mr = RunMrDensestUndirected(env, el, opt);
+  EdgeListStream stream(el);
+  auto mr = RunMrDensestUndirected(env, stream, opt);
   ASSERT_TRUE(mr.ok());
-  ASSERT_GE(mr->pass_seconds.size(), 2u);
-  double first = mr->pass_seconds.front();
-  for (double s : mr->pass_seconds) EXPECT_LE(s, first * 1.05);
+  ASSERT_GE(mr->pass_stats.size(), 2u);
+  const double first = mr->pass_stats.front().simulated_seconds;
+  for (const JobStats& s : mr->pass_stats) {
+    EXPECT_LE(s.simulated_seconds, first * 1.05);
+  }
 }
 
 }  // namespace

@@ -73,11 +73,12 @@ TEST(ChainRecordSourceTest, ConcatenatesInOrderAndResets) {
 
 // ---- Spill path: identical results with and without spilling. ----
 
-std::vector<KV<NodeId, EdgeId>> RunDegreeJob(const MrEdges& edges,
+std::vector<KV<NodeId, EdgeId>> RunDegreeJob(const EdgeList& el,
                                              uint64_t budget,
                                              JobStats* stats) {
   MapReduceEnv env({}, 4);
-  VectorRecordSource<NodeId, NodeId> source(edges);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
   JobOptions opts;
   opts.spill_budget_bytes = budget;
   auto out = MrDegreeJobCombined(env, source, opts, stats);
@@ -87,13 +88,12 @@ std::vector<KV<NodeId, EdgeId>> RunDegreeJob(const MrEdges& edges,
 
 TEST(SpillShuffleTest, EveryPartitionSpillsAndOutputIsByteIdentical) {
   EdgeList el = ErdosRenyiGnm(400, 5000, 21);
-  MrEdges edges = ToMrEdges(el.edges());
 
   JobStats in_memory_stats, spilled_stats;
-  auto in_memory = RunDegreeJob(edges, 0, &in_memory_stats);
+  auto in_memory = RunDegreeJob(el, 0, &in_memory_stats);
   // A 1-byte budget gives every partition a share below one record: every
   // append spills, so the whole shuffle goes through disk.
-  auto spilled = RunDegreeJob(edges, 1, &spilled_stats);
+  auto spilled = RunDegreeJob(el, 1, &spilled_stats);
 
   EXPECT_EQ(in_memory_stats.spill_bytes_written, 0u);
   EXPECT_GT(spilled_stats.spill_bytes_written, 0u);
@@ -117,12 +117,12 @@ TEST(SpillShuffleTest, OutputOrderInvariantAcrossThreadCountsAndBudgets) {
   // derived from the thread count — so the output matches record for
   // record, in order, with no sorting, for every (threads, budget) pair.
   EdgeList el = ErdosRenyiGnm(300, 4000, 22);
-  MrEdges edges = ToMrEdges(el.edges());
-  auto reference = RunDegreeJob(edges, 0, nullptr);
+  auto reference = RunDegreeJob(el, 0, nullptr);
   for (size_t threads : {1u, 3u, 8u}) {
     for (uint64_t budget : {uint64_t{1}, uint64_t{1} << 12, uint64_t{0}}) {
       MapReduceEnv env({}, threads);
-      VectorRecordSource<NodeId, NodeId> source(edges);
+      EdgeListStream stream(el);
+      StreamRecordSource source(stream);
       JobOptions opts;
       opts.spill_budget_bytes = budget;
       auto out = MrDegreeJobCombined(env, source, opts, nullptr);
@@ -194,7 +194,7 @@ TEST(MrStreamEquivalenceTest, BinaryFileStreamUnderTinySpillBudget) {
   opt.spill_budget_bytes = 256;
   auto mr = RunMrDensestUndirected(env, **stream, opt);
   ASSERT_TRUE(mr.ok());
-  EXPECT_GT(mr->totals.spill_bytes_written, 0u);
+  EXPECT_GT(SumJobStats(mr->pass_stats).spill_bytes_written, 0u);
   std::remove(path.c_str());
 }
 
@@ -273,16 +273,16 @@ TEST(MrStreamFailureTest, TruncatedBinaryInputSurfacesIOError) {
 
 TEST(MrCombinerTest, DegreeShuffleBoundedByAliveNodesPerChunk) {
   EdgeList el = ErdosRenyiGnm(500, 20000, 71);
-  MrEdges edges = ToMrEdges(el.edges());
   MapReduceEnv env;
-  VectorRecordSource<NodeId, NodeId> source(edges);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
   JobOptions opts;
   JobStats stats;
   auto out = MrDegreeJobCombined(env, source, opts, &stats);
   ASSERT_TRUE(out.ok());
 
   const uint64_t chunks =
-      (edges.size() + opts.map_chunk_records - 1) / opts.map_chunk_records;
+      (el.num_edges() + opts.map_chunk_records - 1) / opts.map_chunk_records;
   EXPECT_EQ(stats.map_output_records, 2 * el.num_edges());
   EXPECT_EQ(stats.combine_input_records, stats.map_output_records);
   EXPECT_LE(stats.combine_output_records, chunks * el.num_nodes());
@@ -294,12 +294,13 @@ TEST(MrCombinerTest, DegreeShuffleBoundedByAliveNodesPerChunk) {
 TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
   // A chunk's partial count of one key reaches 2 * map_chunk_records,
   // which must fit the 32-bit shuffle value of the NodeId-keyed count jobs.
-  MrEdges edges = ToMrEdges(ErdosRenyiGnm(50, 200, 73).edges());
+  const EdgeList el = ErdosRenyiGnm(50, 200, 73);
   MapReduceEnv env({}, 1);
   JobOptions opts;
   opts.map_chunk_records =
       size_t{std::numeric_limits<PartialCount>::max() / 2} + 1;
-  VectorRecordSource<NodeId, NodeId> source(edges);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
   JobStats degree_stats, count_stats;
   EXPECT_EQ(MrDegreeJobCombined(env, source, opts, &degree_stats)
                 .status()
@@ -314,21 +315,22 @@ TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
 
 TEST(MrCombinerTest, DirectedDegreeCombinedMatchesPlain) {
   EdgeList el = ErdosRenyiDirectedGnm(200, 3000, 72);
-  MrEdges arcs = ToMrEdges(el.edges());
   MapReduceEnv env;
-  auto plain = MrDirectedDegreeJob(env, arcs);
-  VectorRecordSource<NodeId, NodeId> source(arcs);
+  EdgeListStream stream(el);
+  StreamRecordSource source(stream);
+  auto plain = MrDirectedDegreeJob(env, source, JobOptions{});
   JobStats stats;
   auto combined = MrDirectedDegreeJobCombined(env, source, JobOptions{}, &stats);
+  ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(combined.ok());
 
   auto by_key = [](const auto& a, const auto& b) { return a.key < b.key; };
-  std::sort(plain.begin(), plain.end(), by_key);
+  std::sort(plain->begin(), plain->end(), by_key);
   std::sort(combined->begin(), combined->end(), by_key);
-  ASSERT_EQ(plain.size(), combined->size());
-  for (size_t i = 0; i < plain.size(); ++i) {
-    EXPECT_EQ(plain[i].key, (*combined)[i].key);
-    EXPECT_EQ(plain[i].value, (*combined)[i].value);
+  ASSERT_EQ(plain->size(), combined->size());
+  for (size_t i = 0; i < plain->size(); ++i) {
+    EXPECT_EQ((*plain)[i].key, (*combined)[i].key);
+    EXPECT_EQ((*plain)[i].value, (*combined)[i].value);
   }
   EXPECT_LT(stats.combine_output_records, stats.map_output_records);
 }
@@ -359,10 +361,12 @@ TEST(MapInputIoChargeTest, StreamBackedJobsChargeDfsBytes) {
 
 TEST(MapInputIoChargeTest, InMemoryJobsChargeNothing) {
   EdgeList edges = ErdosRenyiGnm(100, 500, 33);
-  MrEdges records = ToMrEdges(edges.edges());
+  MrEdges records;
+  for (const Edge& e : edges.edges()) records.push_back({e.u, e.v});
+  VectorRecordSource<NodeId, NodeId> source(records);
   MapReduceEnv env;
   JobStats stats;
-  MrDegreeJobCombined(env, records, &stats);
+  ASSERT_TRUE(MrDegreeJobCombined(env, source, JobOptions{}, &stats).ok());
   EXPECT_EQ(stats.map_input_bytes, 0u);
 }
 
@@ -391,7 +395,7 @@ TEST(MapInputIoChargeTest, DriverTotalsCoverEveryInputScan) {
   auto r = RunMrDensestUndirected(env, stream, opt);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->input_scans, 0u);
-  EXPECT_EQ(r->totals.map_input_bytes,
+  EXPECT_EQ(SumJobStats(r->pass_stats).map_input_bytes,
             r->input_scans * edges.num_edges() *
                 StreamRecordSource::kDfsRecordBytes);
 }

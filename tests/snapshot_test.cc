@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -319,6 +320,49 @@ TEST(SnapshotTest, RestoreValidatesDecodedStateInternally) {
                    {std::vector<uint16_t>(2, 60000)}, 0,
                    DynamicDensestStats{}, DynamicDensest::OverloadState{})
                    .ok());
+}
+
+TEST(SnapshotTest, RestoreRejectsOutOfRangeOverloadState) {
+  // A checksum is no authenticator: a snapshot can carry overload values
+  // the engine never reaches. A cancel_streak past the cap would shift the
+  // deadline by 64+ bits on the next recompute; a negative, infinite or
+  // NaN certificate, or one captured after more inserts than were ever
+  // applied, would serve an unsound stale band.
+  DynamicDensestOptions opt;
+  DynamicDensestStats stats;
+  stats.inserts = 5;
+  auto restore = [&](const DynamicDensest::OverloadState& overload) {
+    return DynamicDensest::FromSnapshotState(
+        2, opt, std::vector<std::vector<NodeId>>(2), 0,
+        {std::vector<uint16_t>(2, 0)}, 0, stats, overload);
+  };
+  DynamicDensest::OverloadState at_cap;
+  at_cap.pending = true;
+  at_cap.cancel_streak = DynamicDensest::kMaxCancelStreak;
+  at_cap.last_cert_upper = 3.0;
+  at_cap.last_cert_inserts = stats.inserts;
+  EXPECT_TRUE(restore(at_cap).ok());
+
+  for (uint32_t streak : {DynamicDensest::kMaxCancelStreak + 1, 64u, 200u}) {
+    DynamicDensest::OverloadState bad = at_cap;
+    bad.cancel_streak = streak;
+    auto r = restore(bad);
+    ASSERT_FALSE(r.ok()) << "cancel_streak=" << streak;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+  }
+  for (double upper : {-1.0, std::numeric_limits<double>::infinity(),
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    DynamicDensest::OverloadState bad = at_cap;
+    bad.last_cert_upper = upper;
+    auto r = restore(bad);
+    ASSERT_FALSE(r.ok()) << "last_cert_upper=" << upper;
+    EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
+  }
+  DynamicDensest::OverloadState bad = at_cap;
+  bad.last_cert_inserts = stats.inserts + 1;
+  auto r = restore(bad);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Status::Code::kInvalidArgument);
 }
 
 }  // namespace

@@ -38,6 +38,11 @@ check — the conventions the correctness story leans on:
                        base classes derive the other spellings, so a
                        second override is a second copy of the decode and
                        sticky-status logic.
+  one-job-form         A MapReduce job declared in src/mapreduce/*.h (a
+                       function taking a MapReduceEnv&) reads its input
+                       from a RecordSource: a `const MrEdges&` or
+                       `const std::vector<KV<...>>&` parameter is a
+                       second, in-memory form of a job.
   flag-table           CLI flags are declared only in the command table
                        (src/cli/command_table.cc): no GetInt/GetDouble/
                        GetBool/GetString("name") reads in src/ or tools/,
@@ -486,6 +491,33 @@ class Linter:
                     "one read and let the base class derive the others",
                 )
 
+    # -------------------------------------------------------- one-job-form --
+
+    JOB_DECL = re.compile(r"\b(\w+)\s*\(([^()]*)\)")
+    JOB_ENV = re.compile(r"\bMapReduceEnv\s*&")
+    VECTOR_INPUT = re.compile(
+        r"\bconst\s+(?:MrEdges|(?:std::)?vector\s*<\s*KV\s*<[^;]*?>\s*>)\s*&")
+
+    def check_one_job_form(self):
+        check = "one-job-form"
+        for path in source_files(self.root, subdirs=("src/mapreduce",)):
+            if not path.endswith(".h"):
+                continue
+            text = strip_comments(open(path).read())
+            for m in self.JOB_DECL.finditer(text):
+                params = m.group(2)
+                if not self.JOB_ENV.search(params):
+                    continue
+                if not self.VECTOR_INPUT.search(params):
+                    continue
+                line = text[: m.start()].count("\n") + 1
+                self.report(
+                    check, path, line,
+                    f"job '{m.group(1)}' takes an in-memory vector input: "
+                    "read an MrEdgeSource (wrap records in a "
+                    "VectorRecordSource) so every job has one form",
+                )
+
     # ---------------------------------------------------------- flag table --
 
     FLAG_TABLE = "src/cli/command_table.cc"
@@ -535,6 +567,7 @@ class Linter:
         self.check_tools_includes()
         self.check_override()
         self.check_one_read()
+        self.check_one_job_form()
         self.check_flag_table()
         for v in self.violations:
             print(v)
@@ -735,6 +768,31 @@ def self_test(repo_root: str) -> int:
                 f"self-test: one-read flagged a one-read stream: "
                 f"{lint.violations}")
 
+    # 5c. A MapReduce job over an in-memory vector; the source form and a
+    # non-job vector parameter are clean.
+    with tempfile.TemporaryDirectory() as tmp:
+        make_tree(tmp)
+        os.makedirs(os.path.join(tmp, "src/mapreduce"), exist_ok=True)
+        with open(os.path.join(tmp, "src/mapreduce/jobs.h"), "w") as f:
+            f.write(
+                "EdgeId MrCountEdgesJob(MapReduceEnv& env, const MrEdges& e,\n"
+                "                       JobStats* stats = nullptr);\n"
+                "template <typename K2, typename V2, typename K1, typename V1>\n"
+                "std::vector<KV<K2, V2>> RunJob(\n"
+                "    MapReduceEnv& env, const std::vector<KV<K1, V1>>& input);\n"
+                "StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env,\n"
+                "    MrEdgeSource& edges, const JobOptions& options);\n"
+                "explicit VectorRecordSource(const std::vector<KV<K, V>>& r);\n"
+            )
+        lint = Linter(tmp)
+        lint.check_one_job_form()
+        expect("one-job-form", lint.violations, "job 'MrCountEdgesJob'")
+        expect("one-job-form-vector", lint.violations, "job 'RunJob'")
+        if len(lint.violations) != 2:
+            failures.append(
+                f"self-test: one-job-form flagged a source-form job or a "
+                f"non-job: {lint.violations}")
+
     # 6. Ad-hoc flag reads outside the command table, and a typed read of
     # a flag the table never declares.
     with tempfile.TemporaryDirectory() as tmp:
@@ -765,6 +823,7 @@ def self_test(repo_root: str) -> int:
     real.check_tools_includes()
     real.check_override()
     real.check_one_read()
+    real.check_one_job_form()
     real.check_flag_table()
     for v in real.violations:
         failures.append(f"self-test: real tree not clean: {v}")
