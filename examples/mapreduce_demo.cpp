@@ -72,8 +72,8 @@ int main() {
     return 1;
   }
 
-  std::printf("per-pass cluster cost (each pass = density job + degree job "
-              "+ 2 removal jobs):\n");
+  std::printf("per-pass cluster cost (each pass = degree job + 2 removal "
+              "jobs; |E(S)| is derived from the degrees):\n");
   std::printf("%6s %10s %12s %14s %16s %12s\n", "pass", "|S|", "|E(S)|",
               "rho(S)", "sim cluster sec", "spill KiB");
   for (size_t i = 0; i < mr->result.trace.size(); ++i) {

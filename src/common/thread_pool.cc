@@ -52,7 +52,8 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   {
     MutexLock lock(mu_);
     // Counted in outstanding_ so the worker-side decrement stays balanced;
-    // a concurrent ParallelFor simply waits for submitted tasks too.
+    // a concurrent ParallelFor that queues its calls waits for submitted
+    // tasks too (one that runs them on the caller does not).
     ++outstanding_;
     queue_.push([task] { (*task)(); });
   }
@@ -63,8 +64,10 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
 void ThreadPool::ParallelFor(size_t count,
                              const std::function<void(size_t)>& fn) {
   if (count == 0) return;
-  if (count == 1) {
-    fn(0);
+  // One call, or one worker to run them: the caller runs them in index
+  // order instead of handing each to a worker and blocking on it.
+  if (count == 1 || threads_.size() == 1) {
+    for (size_t i = 0; i < count; ++i) fn(i);
     return;
   }
   {

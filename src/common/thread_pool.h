@@ -38,6 +38,9 @@ class ThreadPool {
 
   /// Runs fn(i) for i in [0, count) across the pool; returns when all
   /// calls completed. fn must be safe to call concurrently for distinct i.
+  /// A one-worker pool (or a count of 1) runs the calls on the calling
+  /// thread, in index order: handing them to the one worker would only
+  /// move each call across cores while the caller blocks.
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn)
       DENSEST_EXCLUDES(mu_);
 

@@ -1,5 +1,7 @@
 #include "dynamic/snapshot.h"
 
+#include <sys/stat.h>
+
 #include <cstdio>
 #include <cstring>
 #include <span>
@@ -72,6 +74,9 @@ class BodyReader {
   }
 
   bool exhausted() const { return pos_ == size_; }
+  /// Body bytes not read yet: what every size field is checked against
+  /// before it sizes an allocation.
+  size_t remaining() const { return size_ - pos_; }
 
  private:
   const char* data_;
@@ -228,6 +233,16 @@ StatusOr<RestoredEngine> ReadSnapshot(const std::string& path,
     std::fclose(f);
     return Status::IOError("unsupported snapshot version: " + path);
   }
+  // The body must fit the bytes the file holds: a forged body_size fails
+  // here instead of sizing the allocation below.
+  struct stat st;
+  const bool sized = fstat(fileno(f), &st) == 0 && st.st_size >= 0;
+  const uint64_t file_bytes = sized ? static_cast<uint64_t>(st.st_size) : 0;
+  if (file_bytes < sizeof(header) ||
+      header.body_size > file_bytes - sizeof(header)) {
+    std::fclose(f);
+    return Status::IOError("truncated snapshot body: " + path);
+  }
   std::string body(header.body_size, '\0');
   const size_t got =
       body.empty() ? 0 : std::fread(body.data(), 1, body.size(), f);
@@ -260,14 +275,27 @@ StatusOr<RestoredEngine> ReadSnapshot(const std::string& path,
       !r.Get(&density) || !r.Get(&upper_bound)) {
     return Status::IOError("snapshot body too short: " + path);
   }
+  // Every size field is checked against the body bytes left before it
+  // sizes a vector, so a forged count fails closed instead of allocating:
+  // each node's section holds at least its 4-byte degree, a degree d holds
+  // d ids, and the slot section holds num_slots * n levels. (n == 0 has no
+  // engine to restore; FromSnapshotState refuses it.)
+  if (n == 0 || n > r.remaining() / sizeof(uint32_t)) {
+    return Status::IOError("snapshot node count out of range: " + path);
+  }
   std::vector<std::vector<NodeId>> adjacency(n);
   for (NodeId u = 0; u < n; ++u) {
     uint32_t deg = 0;
-    if (!r.Get(&deg)) return Status::IOError("snapshot body too short: " + path);
+    if (!r.Get(&deg) || deg > r.remaining() / sizeof(NodeId)) {
+      return Status::IOError("snapshot body too short: " + path);
+    }
     adjacency[u].resize(deg);
     if (!r.GetRaw(adjacency[u].data(), size_t{deg} * sizeof(NodeId))) {
       return Status::IOError("snapshot body too short: " + path);
     }
+  }
+  if (num_slots > r.remaining() / (size_t{n} * sizeof(uint16_t))) {
+    return Status::IOError("snapshot body too short: " + path);
   }
   std::vector<std::vector<uint16_t>> slot_levels(num_slots);
   for (uint32_t i = 0; i < num_slots; ++i) {

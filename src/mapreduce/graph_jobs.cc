@@ -8,28 +8,14 @@ namespace densest {
 namespace {
 
 /// Sum of counts: the combiner (T = P, one chunk's partial sum) and the
-/// reducer (T = EdgeId, the total) of the count jobs, whose shuffle values
-/// are P.
+/// reducer (T = EdgeId, the total) of the combined degree jobs, whose
+/// shuffle values are P.
 template <typename T, typename K, typename P = T>
 void SumCounts(const K& key, const std::vector<P>& partials,
                Emitter<K, T>& emit) {
   T total = 0;
   for (P x : partials) total += x;
   emit.Emit(key, total);
-}
-
-/// A chunk's partial count of one key is at most 2 * map_chunk_records
-/// (a self-loop emits its node twice); refuses chunks whose partials could
-/// overflow PartialCount.
-Status CheckPartialCountWidth(const JobOptions& options) {
-  constexpr uint64_t kMaxPartial = std::numeric_limits<PartialCount>::max();
-  if (options.map_chunk_records > kMaxPartial / 2) {
-    return Status::InvalidArgument(
-        "map_chunk_records " + std::to_string(options.map_chunk_records) +
-        " too large for 32-bit partial counts (at most " +
-        std::to_string(kMaxPartial / 2) + ")");
-  }
-  return Status::OK();
 }
 
 /// Shared reducer of the removal passes: a key whose values contain the $
@@ -85,7 +71,16 @@ StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJob(
 StatusOr<std::vector<KV<NodeId, EdgeId>>> MrDegreeJobCombined(
     MapReduceEnv& env, MrEdgeSource& edges, const JobOptions& options,
     JobStats* stats) {
-  if (Status s = CheckPartialCountWidth(options); !s.ok()) return s;
+  // A chunk's partial count of one node is at most 2 * map_chunk_records
+  // (a self-loop emits its node twice); refuse chunks whose partials could
+  // overflow PartialCount.
+  constexpr uint64_t kMaxPartial = std::numeric_limits<PartialCount>::max();
+  if (options.map_chunk_records > kMaxPartial / 2) {
+    return Status::InvalidArgument(
+        "map_chunk_records " + std::to_string(options.map_chunk_records) +
+        " too large for 32-bit partial counts (at most " +
+        std::to_string(kMaxPartial / 2) + ")");
+  }
   JobOptions opts = options;
   opts.map_fanout_hint = 2.0;  // two partial counts per edge
   return RunJobOnSource<NodeId, PartialCount, NodeId, EdgeId>(
@@ -128,20 +123,6 @@ StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJobCombined(
         emit.Emit(2 * static_cast<uint64_t>(v) + 1, 1);  // in-degree slot
       },
       SumCounts<EdgeId, uint64_t>, SumCounts<EdgeId, uint64_t>, stats);
-}
-
-StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env, MrEdgeSource& edges,
-                                 const JobOptions& options, JobStats* stats) {
-  if (Status s = CheckPartialCountWidth(options); !s.ok()) return s;
-  StatusOr<std::vector<KV<NodeId, EdgeId>>> totals =
-      RunJobOnSource<NodeId, PartialCount, NodeId, EdgeId>(
-          env, edges, options,
-          [](const NodeId&, const NodeId&,
-             Emitter<NodeId, PartialCount>& emit) { emit.Emit(0, 1); },
-          SumCounts<PartialCount, NodeId>,
-          SumCounts<EdgeId, NodeId, PartialCount>, stats);
-  if (!totals.ok()) return totals.status();
-  return totals->empty() ? EdgeId{0} : totals->front().value;
 }
 
 StatusOr<MrEdges> MrRemoveNodesJob(MapReduceEnv& env, MrEdgeSource& edges,

@@ -1,7 +1,10 @@
 // Copyright 2026 The densest Authors.
 // The paper's §5.2 graph primitives as MapReduce jobs over a distributed
-// edge list: density, per-node degrees, and the two-pass removal of marked
-// nodes and their incident edges.
+// edge list: per-node degrees and the two-pass removal of marked nodes and
+// their incident edges. §5.2's density step needs no job of its own: the
+// drivers (mapreduce/mr_densest.h) derive |E(S)| from the degree job's
+// output, as half the degree sum (undirected) or the out-degree sum
+// (directed).
 //
 // Every job has one form: it reads an MrEdgeSource (a StreamRecordSource
 // scans a disk- or generator-backed EdgeStream without materializing it; a
@@ -30,13 +33,14 @@ using MrEdges = std::vector<KV<NodeId, NodeId>>;
 /// MrEdges).
 using MrEdgeSource = RecordSource<NodeId, NodeId>;
 
-/// The shuffle value type of the NodeId-keyed count jobs
-/// (MrDegreeJobCombined, MrCountEdgesJob): one map chunk's combined count of
-/// a key. It is at most 2 * map_chunk_records, so 32 bits hold it, and a
-/// record is 8 bytes instead of the 16 of a padded (NodeId, EdgeId) pair.
-/// The reducers sum the partials into EdgeId, so the jobs' output types and
-/// values do not depend on it. Both jobs return InvalidArgument when
-/// 2 * map_chunk_records exceeds UINT32_MAX. MrDirectedDegreeJobCombined
+/// The shuffle value type of MrDegreeJobCombined: one map chunk's combined
+/// count of a node. It is at most 2 * map_chunk_records, so 32 bits hold it,
+/// and a record is 8 bytes instead of the 16 of a padded (NodeId, EdgeId)
+/// pair. The reducer sums the partials into EdgeId, so the job's output
+/// type and values do not depend on it. The job returns InvalidArgument
+/// when 2 * map_chunk_records exceeds UINT32_MAX. The edge count the
+/// drivers derive from its output is summed in EdgeId, never in a
+/// PartialCount. MrDirectedDegreeJobCombined
 /// keeps EdgeId partials: its 64-bit key pads a 32-bit value back to 16
 /// bytes, so a narrower value would save nothing.
 using PartialCount = uint32_t;
@@ -70,14 +74,6 @@ StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJob(
 StatusOr<std::vector<KV<uint64_t, EdgeId>>> MrDirectedDegreeJobCombined(
     MapReduceEnv& env, MrEdgeSource& arcs, const JobOptions& options,
     JobStats* stats = nullptr);
-
-/// §5.2 density job: a trivial aggregation counting the edges (the node
-/// count is driver state). Runs as a real job so the cost model charges
-/// the pass for it; a map-side combiner collapses each chunk's count to a
-/// single shuffled record.
-StatusOr<EdgeId> MrCountEdgesJob(MapReduceEnv& env, MrEdgeSource& edges,
-                                 const JobOptions& options,
-                                 JobStats* stats = nullptr);
 
 /// §5.2 node-removal: two jobs. Pass 1 pivots on the first endpoint (the
 /// map keys each edge by u and adds a (v;$) marker per removed node v; a

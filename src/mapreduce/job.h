@@ -12,9 +12,10 @@
 // shuffle spills sorted runs to temp files under a byte budget
 // (mapreduce/shuffle.h), so its resident memory follows the budget instead
 // of |E|. The budget is a spill threshold, not a cap. During the map phase,
-// resident shuffle memory is the partitions' shares of it plus one map
-// round's output (held until appended, and able to push a partition past its
-// share, because the spill check runs after each appended chunk). At reduce
+// resident shuffle memory is the partitions' shares of it plus up to one map
+// round's output in the partition buffers: the spill check runs once after
+// each appended round, so a round can push a partition past its share before
+// the partition spills it as one run. At reduce
 // time it is the partitions' unspilled tails plus merge buffers of at most
 // one budget in total: the merges in flight (one per reduce thread) split
 // the budget between them, and each splits its share over its runs. Only the
@@ -298,10 +299,11 @@ StatusOr<std::vector<KV<K3, V3>>> RunJobOnSource(
       });
       for (size_t c = 0; c < filled; ++c) {
         stats.map_output_records += raw_counts[c];
-        if (Status s = shuffle.Append(std::move(outputs[c])); !s.ok()) {
-          return s;
-        }
+        shuffle.Append(std::move(outputs[c]));
       }
+      // One spill check per round: a partition past its share spills the
+      // round's records as one run, so the merge replays fewer runs.
+      if (Status s = shuffle.SpillOverBudget(); !s.ok()) return s;
     }
   }
   // A disk-backed source signals mid-scan failure by ending early; mapping

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "core/peel_runs.h"
 #include "mapreduce/stream_source.h"
@@ -42,6 +43,15 @@ class DriverInput {
   bool on_stream_ = true;
 };
 
+/// The degree job keys its output by the endpoints it read; an edge whose
+/// endpoint lies outside the stream's [0, n) fails the run here, before
+/// the driver indexes an n-sized array by it.
+Status EndpointOutOfRange(uint64_t id, NodeId n) {
+  return Status::InvalidArgument("edge endpoint " + std::to_string(id) +
+                                 " out of range for " + std::to_string(n) +
+                                 " nodes");
+}
+
 JobOptions DriverJobOptions(uint64_t spill_budget_bytes,
                             const std::string& spill_dir) {
   JobOptions opts;
@@ -72,14 +82,7 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
   while (!peel.done()) {
     JobStats pass_stats;
 
-    // Job 1 (§5.2 "density"): count the surviving edges.
-    JobStats density_stats;
-    StatusOr<EdgeId> m =
-        MrCountEdgesJob(env, input.source(), base_opts, &density_stats);
-    if (!m.ok()) return m.status();
-    pass_stats.Accumulate(density_stats);
-
-    // Job 2 (§5.2 "degrees"): per-node induced degrees, combined map-side
+    // Job 1 (§5.2 "degrees"): per-node induced degrees, combined map-side
     // so the shuffle carries O(|V_alive|) records per chunk, not O(|E|).
     JobStats degree_stats;
     JobOptions degree_opts = base_opts;
@@ -89,18 +92,28 @@ StatusOr<MrDensestResult> RunMrDensestUndirected(
     if (!degrees.ok()) return degrees.status();
     pass_stats.Accumulate(degree_stats);
 
-    // Driver decision: Algorithm 1's peel step on the jobs' output. (Nodes
-    // with no surviving edge have degree 0 and are always marked.)
+    // §5.2 "density", derived instead of run as a job: every edge adds 1
+    // to the degree of each endpoint (a self-loop adds 2 to its node), so
+    // |E(S)| is half the degree sum.
     std::fill(deg.begin(), deg.end(), 0.0);
-    for (const auto& kv : *degrees) deg[kv.key] = static_cast<double>(kv.value);
-    NodeSet marked(n);
-    peel.Step(deg, static_cast<double>(*m), *m, &marked);
+    EdgeId degree_sum = 0;
+    for (const auto& kv : *degrees) {
+      if (kv.key >= n) return EndpointOutOfRange(kv.key, n);
+      deg[kv.key] = static_cast<double>(kv.value);
+      degree_sum += kv.value;
+    }
+    const EdgeId m = degree_sum / 2;
 
-    // Jobs 3+4 (§5.2 "removal"): delete marked nodes and incident edges.
+    // Driver decision: Algorithm 1's peel step on the job's output. (Nodes
+    // with no surviving edge have degree 0 and are always marked.)
+    NodeSet marked(n);
+    peel.Step(deg, static_cast<double>(m), m, &marked);
+
+    // Jobs 2+3 (§5.2 "removal"): delete marked nodes and incident edges.
     if (!marked.empty() && !input.in_memory_empty()) {
       JobStats removal1, removal2;
       JobOptions removal_opts = base_opts;
-      removal_opts.reduce_output_hint = *m;
+      removal_opts.reduce_output_hint = m;
       StatusOr<MrEdges> survivors = MrRemoveNodesJob(
           env, input.source(), marked, removal_opts, &removal1, &removal2);
       if (!survivors.ok()) return survivors.status();
@@ -136,12 +149,6 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
   while (!peel.done()) {
     JobStats pass_stats;
 
-    JobStats density_stats;
-    StatusOr<EdgeId> m =
-        MrCountEdgesJob(env, input.source(), base_opts, &density_stats);
-    if (!m.ok()) return m.status();
-    pass_stats.Accumulate(density_stats);
-
     JobStats degree_stats;
     JobOptions degree_opts = base_opts;
     degree_opts.reduce_output_hint = peel.s().size() + peel.t().size();
@@ -151,20 +158,26 @@ StatusOr<MrDirectedResult> RunMrDensestDirected(
     if (!degrees.ok()) return degrees.status();
     pass_stats.Accumulate(degree_stats);
 
+    // §5.2 "density", derived: every arc adds 1 to its source's out-degree,
+    // so |E(S, T)| is the out-degree sum.
     std::fill(out_deg.begin(), out_deg.end(), 0.0);
     std::fill(in_deg.begin(), in_deg.end(), 0.0);
+    EdgeId m = 0;
     for (const auto& kv : *degrees) {
-      std::vector<double>& side = (kv.key & 1) ? in_deg : out_deg;
+      if ((kv.key >> 1) >= n) return EndpointOutOfRange(kv.key >> 1, n);
+      const bool in_side = (kv.key & 1) != 0;
+      std::vector<double>& side = in_side ? in_deg : out_deg;
       side[static_cast<NodeId>(kv.key >> 1)] = static_cast<double>(kv.value);
+      if (!in_side) m += kv.value;
     }
     NodeSet marked(n);
     const bool peel_s =
-        peel.Step(out_deg, in_deg, static_cast<double>(*m), &marked);
+        peel.Step(out_deg, in_deg, static_cast<double>(m), &marked);
 
     if (!marked.empty() && !input.in_memory_empty()) {
       JobStats removal_stats;
       JobOptions removal_opts = base_opts;
-      removal_opts.reduce_output_hint = *m;
+      removal_opts.reduce_output_hint = m;
       StatusOr<MrEdges> survivors =
           MrRemoveArcsJob(env, input.source(), marked, /*by_source=*/peel_s,
                           removal_opts, &removal_stats);

@@ -3,21 +3,25 @@
 // (directed): the drivers orchestrate the §5.2 jobs pass by pass and
 // collect each pass's job counters, simulated cluster time included
 // (Figure 6.7), in pass_stats: the one per-pass store. Run totals are
-// their sum (SumJobStats), taken where they are printed. The jobs only
-// compute a pass's edge count and degrees; every decision — best subgraph,
+// their sum (SumJobStats), taken where they are printed. The jobs compute
+// a pass's degrees and remove the peeled nodes. §5.2's density step is
+// derived in the driver: |E(S)| is half the degree sum (Algorithm 3:
+// |E(S, T)| is the out-degree sum). Every decision — best subgraph,
 // threshold, peel, trace, end of run, band — is made by the same peel step
 // the streaming algorithms take (UndirectedPeel / DirectedPeel in
 // core/peel_runs.h), and options are checked by the same
 // Algorithm1Run::Validate / Algorithm3Run::Validate.
 //
-// The drivers read EdgeStreams: the first pass's jobs each scan the input
-// through a StreamRecordSource (binary file, generator, or in-memory
-// stream — the same inputs the streaming engines run on, read through the
-// same NextView; the source counts the scans), and the removal job's
-// in-memory survivor set feeds every later pass (§6.3: the graph shrinks
-// by orders of magnitude in the first passes). Shuffle memory inside each
-// job follows the spill budget, not |E|: the budget, plus one map round's
-// output and the merge's refill buffers (see mapreduce/job.h).
+// The drivers read EdgeStreams: the first pass's degree and removal jobs
+// each scan the input through a StreamRecordSource (binary file,
+// generator, or in-memory stream — the same inputs the streaming engines
+// run on, read through the same NextView; the source counts the scans),
+// and the removal job's in-memory survivor set feeds every later pass
+// (§6.3: the graph shrinks by orders of magnitude in the first passes).
+// An endpoint id at or above the stream's num_nodes() fails the run with
+// InvalidArgument. Shuffle memory inside each job follows the spill
+// budget, not |E|: the budget, plus up to one map round's output and the
+// merge's refill buffers (see mapreduce/job.h).
 
 #ifndef DENSEST_MAPREDUCE_MR_DENSEST_H_
 #define DENSEST_MAPREDUCE_MR_DENSEST_H_
@@ -55,9 +59,10 @@ struct [[nodiscard]] MrDensestResult {
   /// simulated_seconds are the series of Figure 6.7; the combiner/spill
   /// gates read the rest.
   std::vector<JobStats> pass_stats;
-  /// Physical scans of the input stream (each first-pass job re-scans it;
-  /// once the removal job has materialized the survivors, later passes run
-  /// in memory and scan nothing).
+  /// Physical scans of the input stream: the first pass's degree job and
+  /// its removal job each scan it once. Once the removal job has
+  /// materialized the survivors, later passes run in memory and scan
+  /// nothing.
   uint64_t input_scans = 0;
 };
 

@@ -106,7 +106,11 @@ KV<K, V>* RadixSortByKey(KV<K, V>* data, KV<K, V>* scratch, size_t n) {
     const int next = shift + kRadixDigitBits;
     differ = next >= 64 ? 0 : differ & (~uint64_t{0} << next);
   }
-  size_t counts[kMaxDigits][kBuckets] = {};
+  // Only the rows of the digits in use are cleared: the sort runs once per
+  // spill and per reduced partition, and most key sets need one or two of
+  // the kMaxDigits rows.
+  size_t counts[kMaxDigits][kBuckets];
+  std::memset(counts, 0, static_cast<size_t>(digits) * sizeof(counts[0]));
   for (size_t i = 0; i < n; ++i) {
     const uint64_t key = data[i].key;
     for (int d = 0; d < digits; ++d) ++counts[d][(key >> shifts[d]) & kMask];
@@ -194,7 +198,7 @@ class LoserTree {
 struct JobOptions {
   /// Total in-memory shuffle budget in bytes, shared evenly by the
   /// partitions; a partition whose buffer exceeds its share after an
-  /// appended chunk spills a sorted run to disk. At reduce time the same
+  /// appended map round spills a sorted run to disk. At reduce time the same
   /// bytes size the merges' refill buffers. A spill threshold, not a hard
   /// cap on resident memory (see mapreduce/job.h). 0 = never spill (whole
   /// shuffle stays resident).
@@ -227,8 +231,8 @@ struct JobOptions {
 
 /// \brief Hash-partitioned shuffle store with budgeted spilling.
 ///
-/// Append() must be called in chunk order from one thread (the engine owns
-/// that ordering); ReducePartition() calls for distinct partitions may run
+/// Append() and SpillOverBudget() must be called in chunk order from one
+/// thread (the engine owns that ordering); ReducePartition() calls for distinct partitions may run
 /// concurrently, at most `reduce_threads` at a time.
 template <typename K, typename V>
 class ShuffleWriter {
@@ -268,9 +272,10 @@ class ShuffleWriter {
     }
   }
 
-  /// Distributes one map chunk's (combined) output across the partitions,
-  /// spilling any partition that left its budget. Consumes the chunk.
-  Status Append(std::vector<KV<K, V>>&& chunk) {
+  /// Distributes one map chunk's (combined) output across the partitions.
+  /// Consumes the chunk. Spills nothing: the engine appends a whole map
+  /// round, then calls SpillOverBudget once.
+  void Append(std::vector<KV<K, V>>&& chunk) {
     for (KV<K, V>& kv : chunk) {
       const size_t p =
           Mix64(static_cast<uint64_t>(kv.key)) % partitions_.size();
@@ -278,6 +283,12 @@ class ShuffleWriter {
     }
     records_ += chunk.size();
     chunk.clear();
+  }
+
+  /// Spills one sorted run from every partition whose buffer left its
+  /// share of the budget. Where the engine calls it changes only the run
+  /// boundaries, never the merged order.
+  Status SpillOverBudget() {
     if (partition_budget_ == 0) return Status::OK();
     for (Partition& part : partitions_) {
       if (part.buffer.size() * sizeof(KV<K, V>) > partition_budget_) {
@@ -515,9 +526,9 @@ class ShuffleWriter {
   std::vector<Partition> partitions_;
   uint64_t records_ = 0;
   uint64_t spill_bytes_written_ = 0;
-  /// SpillRun's radix scatter buffer, kept across spills (Append is
+  /// SpillRun's radix scatter buffer, kept across spills (spilling is
   /// single-threaded): it grows to the largest spilled buffer, a partition's
-  /// share plus one chunk's records. Allocating it per spill, between the
+  /// share plus one map round's records. Allocating it per spill, between the
   /// growing partition buffers, fragmented the heap: +4 MiB peak RSS on the
   /// mr-spill benchmark.
   std::vector<KV<K, V>> spill_scratch_;

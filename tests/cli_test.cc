@@ -310,6 +310,31 @@ TEST(CliMapReduceTest, RunsOutOfCoreOnBinaryInput) {
   std::remove(path.c_str());
 }
 
+TEST(CliMapReduceTest, OutOfRangeEndpointFailsClosed) {
+  // A .bin whose header says 10 nodes but holds the edge (5, 5000000): the
+  // command must fail with InvalidArgument, both drivers, not crash.
+  const std::string path = ::testing::TempDir() + "/cli_mr_oob.bin";
+  {
+    std::ofstream f(path, std::ios::binary | std::ios::trunc);
+    const uint64_t magic = 0x44454e5345444745ULL;  // "DENSEDGE"
+    const uint32_t num_nodes = 10, flags = 0;
+    const uint64_t num_edges = 3;
+    const uint32_t records[6] = {0, 1, 5, 5000000, 2, 3};
+    f.write(reinterpret_cast<const char*>(&magic), sizeof(magic));
+    f.write(reinterpret_cast<const char*>(&num_nodes), sizeof(num_nodes));
+    f.write(reinterpret_cast<const char*>(&flags), sizeof(flags));
+    f.write(reinterpret_cast<const char*>(&num_edges), sizeof(num_edges));
+    f.write(reinterpret_cast<const char*>(records), sizeof(records));
+  }
+  for (const char* mode : {"--directed=false", "--directed"}) {
+    std::ostringstream out;
+    Status status = RunCliCommand("mapreduce", {path, mode}, out);
+    ASSERT_FALSE(status.ok()) << mode;
+    EXPECT_EQ(status.code(), Status::Code::kInvalidArgument) << mode;
+  }
+  std::remove(path.c_str());
+}
+
 TEST_F(CliCommandTest, DynamicInsertOnlyReplayWithCheckpoints) {
   Status status;
   std::string out = Run(

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "core/algorithm1.h"
 #include "core/algorithm3.h"
@@ -36,6 +38,27 @@ TEST(ThreadPoolTest, ZeroAndOneCounts) {
   EXPECT_EQ(calls, 0);
   pool.ParallelFor(1, [&](size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPoolTest, OneWorkerRunsParallelForOnTheCallerInIndexOrder) {
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<size_t> order;
+  std::vector<std::thread::id> ran_on;
+  pool.ParallelFor(100, [&](size_t i) {
+    order.push_back(i);
+    ran_on.push_back(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], caller) << "i=" << i;
+  }
+  // Submit still hands its task to the worker: the file stream's prefetch
+  // relies on it running beside the caller.
+  std::thread::id submitted_on;
+  pool.Submit([&] { submitted_on = std::this_thread::get_id(); }).get();
+  EXPECT_NE(submitted_on, caller);
 }
 
 TEST(CostModelTest, OverheadDominatesTinyJobs) {
@@ -223,21 +246,6 @@ TEST(GraphJobsTest, DirectedDegreeJobMatchesCsr) {
   }
 }
 
-TEST(GraphJobsTest, CountEdgesJob) {
-  EdgeList el = ErdosRenyiGnm(100, 321, 85);
-  MapReduceEnv env;
-  EdgeListStream stream(el);
-  StreamRecordSource source(stream);
-  auto count = MrCountEdgesJob(env, source, JobOptions{});
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 321u);
-  const MrEdges none;
-  VectorRecordSource<NodeId, NodeId> empty(none);
-  auto zero = MrCountEdgesJob(env, empty, JobOptions{});
-  ASSERT_TRUE(zero.ok());
-  EXPECT_EQ(*zero, 0u);
-}
-
 TEST(GraphJobsTest, RemoveNodesDropsExactlyIncidentEdges) {
   // Triangle 0-1-2 plus edge 2-3; removing node 2 leaves only 0-1.
   EdgeList el(4);
@@ -375,6 +383,70 @@ TEST_P(MrDirectedEquivalenceTest, MatchesStreamingAlgorithm3) {
 
 INSTANTIATE_TEST_SUITE_P(MrDirectedSweep, MrDirectedEquivalenceTest,
                          ::testing::Range(800, 806));
+
+/// A multigraph with self-loops: G(n, m) plus a loop on every fifth node,
+/// two loops on node 0 and a repeat of the first ten edges.
+EdgeList WithSelfLoopsAndRepeats(EdgeList el) {
+  const NodeId n = el.num_nodes();
+  for (NodeId u = 0; u < n; u += 5) el.Add(u, u);
+  el.Add(0, 0);
+  for (size_t i = 0; i < 10; ++i) {
+    el.Add(el.edges()[i].u, el.edges()[i].v);
+  }
+  return el;
+}
+
+TEST(MrDriverTest, DerivedEdgeCountMatchesStreamingWithSelfLoops) {
+  // The drivers derive |E(S)| from the degree job (a self-loop adds 2 to
+  // its node's degree, and 1 to its node's out- and in-degree). Streaming
+  // counts each loop once, so every pass's edge count, density and
+  // threshold must still agree bit for bit.
+  for (uint64_t seed : {901u, 902u, 903u}) {
+    const EdgeList el = WithSelfLoopsAndRepeats(ErdosRenyiGnm(90, 600, seed));
+    Algorithm1Options stream_opt;
+    stream_opt.epsilon = 0.5;
+    EdgeListStream stream(el);
+    auto streaming = RunAlgorithm1(stream, stream_opt);
+    ASSERT_TRUE(streaming.ok());
+
+    MapReduceEnv env({}, 2);
+    MrDensestOptions mr_opt;
+    mr_opt.epsilon = 0.5;
+    mr_opt.spill_budget_bytes = 1024;
+    auto mr = RunMrDensestUndirected(env, stream, mr_opt);
+    ASSERT_TRUE(mr.ok()) << mr.status().ToString();
+    ASSERT_GT(streaming->passes, 1u) << "seed=" << seed;
+    EXPECT_EQ(mr->result.trace, streaming->trace) << "seed=" << seed;
+    EXPECT_EQ(mr->result.density, streaming->density);
+    EXPECT_EQ(mr->result.nodes, streaming->nodes);
+    EXPECT_EQ(mr->result.trace.front().edges, el.num_edges());
+  }
+  for (uint64_t seed : {911u, 912u, 913u}) {
+    const EdgeList arcs =
+        WithSelfLoopsAndRepeats(ErdosRenyiDirectedGnm(80, 700, seed));
+    Algorithm3Options stream_opt;
+    stream_opt.c = 2.0;
+    stream_opt.epsilon = 0.5;
+    EdgeListStream stream(arcs);
+    auto streaming = RunAlgorithm3(stream, stream_opt);
+    ASSERT_TRUE(streaming.ok());
+
+    MapReduceEnv env({}, 2);
+    MrDirectedOptions mr_opt;
+    mr_opt.c = 2.0;
+    mr_opt.epsilon = 0.5;
+    mr_opt.spill_budget_bytes = 1024;
+    auto mr = RunMrDensestDirected(env, stream, mr_opt);
+    ASSERT_TRUE(mr.ok()) << mr.status().ToString();
+    ASSERT_GT(streaming->passes, 1u) << "seed=" << seed;
+    EXPECT_EQ(mr->result.trace, streaming->trace) << "seed=" << seed;
+    EXPECT_EQ(mr->result.density, streaming->density);
+    EXPECT_EQ(mr->result.s_nodes, streaming->s_nodes);
+    EXPECT_EQ(mr->result.t_nodes, streaming->t_nodes);
+    EXPECT_EQ(mr->result.trace.front().weight,
+              static_cast<double>(arcs.num_edges()));
+  }
+}
 
 TEST(MrDriverTest, InvalidArguments) {
   MapReduceEnv env;

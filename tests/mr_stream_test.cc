@@ -209,9 +209,9 @@ TEST(MrStreamEquivalenceTest, CirculantGeneratorStream) {
 }
 
 TEST(MrStreamEquivalenceTest, FirstPassScanAccounting) {
-  // Pass 1 runs three stream-scanning jobs (density, degrees, removal pass
-  // 1); after the removal job materializes survivors, no job touches the
-  // stream again.
+  // Pass 1 runs two stream-scanning jobs (degrees, removal pass 1; the
+  // edge count is derived from the degrees); after the removal job
+  // materializes survivors, no job touches the stream again.
   EdgeList el = ErdosRenyiGnm(100, 600, 42);
   EdgeListStream stream(el);
   MapReduceEnv env;
@@ -220,7 +220,7 @@ TEST(MrStreamEquivalenceTest, FirstPassScanAccounting) {
   auto mr = RunMrDensestUndirected(env, stream, opt);
   ASSERT_TRUE(mr.ok());
   EXPECT_GT(mr->result.passes, 1u);
-  EXPECT_EQ(mr->input_scans, 3u);
+  EXPECT_EQ(mr->input_scans, 2u);
 }
 
 TEST(MrDirectedStreamEquivalenceTest, BinaryFileArcStream) {
@@ -269,6 +269,52 @@ TEST(MrStreamFailureTest, TruncatedBinaryInputSurfacesIOError) {
   std::remove(path.c_str());
 }
 
+// Writes an unweighted binary edge file whose header claims `num_nodes`
+// and whose records are `edges` as given, ids unchecked.
+void WriteRawEdgeFile(const std::string& path, uint32_t num_nodes,
+                      const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  BinaryEdgeFileHeader header;
+  header.num_nodes = num_nodes;
+  header.num_edges = edges.size();
+  FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, f), 1u);
+  for (const auto& [u, v] : edges) {
+    const NodeId record[2] = {u, v};
+    ASSERT_EQ(std::fwrite(record, sizeof(record), 1, f), 1u);
+  }
+  std::fclose(f);
+}
+
+TEST(MrStreamFailureTest, OutOfRangeEndpointFailsClosed) {
+  // The header says 10 nodes; one endpoint is 5,000,000. Both drivers must
+  // refuse the input, not index their degree arrays by the id.
+  const std::string path = ::testing::TempDir() + "/mr_oob.bin";
+  WriteRawEdgeFile(path, 10, {{0, 1}, {5, 5000000}, {2, 3}});
+  auto stream = BinaryFileEdgeStream::Open(path);
+  ASSERT_TRUE(stream.ok());
+  MapReduceEnv env({}, 1);
+  auto undirected = RunMrDensestUndirected(env, **stream, {});
+  ASSERT_FALSE(undirected.ok());
+  EXPECT_EQ(undirected.status().code(), Status::Code::kInvalidArgument);
+  auto directed = RunMrDensestDirected(env, **stream, {});
+  ASSERT_FALSE(directed.ok());
+  EXPECT_EQ(directed.status().code(), Status::Code::kInvalidArgument);
+
+  // The first id past the range, as a source and as a target.
+  for (const auto& bad : {std::pair<NodeId, NodeId>{10, 2},
+                          std::pair<NodeId, NodeId>{2, 10}}) {
+    WriteRawEdgeFile(path, 10, {{0, 1}, bad});
+    auto edge_stream = BinaryFileEdgeStream::Open(path);
+    ASSERT_TRUE(edge_stream.ok());
+    EXPECT_EQ(RunMrDensestUndirected(env, **edge_stream, {}).status().code(),
+              Status::Code::kInvalidArgument);
+    EXPECT_EQ(RunMrDensestDirected(env, **edge_stream, {}).status().code(),
+              Status::Code::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
 // ---- Combiner ceiling: the shuffle carries O(V), not O(E). ----
 
 TEST(MrCombinerTest, DegreeShuffleBoundedByAliveNodesPerChunk) {
@@ -291,9 +337,9 @@ TEST(MrCombinerTest, DegreeShuffleBoundedByAliveNodesPerChunk) {
   EXPECT_EQ(stats.shuffle_bytes, 8 * stats.combine_output_records);
 }
 
-TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
-  // A chunk's partial count of one key reaches 2 * map_chunk_records,
-  // which must fit the 32-bit shuffle value of the NodeId-keyed count jobs.
+TEST(MrCombinerTest, DegreeJobRefusesChunksTooLargeForPartialCounts) {
+  // A chunk's partial count of one node reaches 2 * map_chunk_records,
+  // which must fit the 32-bit shuffle value of the combined degree job.
   const EdgeList el = ErdosRenyiGnm(50, 200, 73);
   MapReduceEnv env({}, 1);
   JobOptions opts;
@@ -301,16 +347,13 @@ TEST(MrCombinerTest, CountJobsRefuseChunksTooLargeForPartialCounts) {
       size_t{std::numeric_limits<PartialCount>::max() / 2} + 1;
   EdgeListStream stream(el);
   StreamRecordSource source(stream);
-  JobStats degree_stats, count_stats;
+  JobStats degree_stats;
   EXPECT_EQ(MrDegreeJobCombined(env, source, opts, &degree_stats)
                 .status()
                 .code(),
             Status::Code::kInvalidArgument);
-  EXPECT_EQ(MrCountEdgesJob(env, source, opts, &count_stats).status().code(),
-            Status::Code::kInvalidArgument);
   // Nothing ran: the refusal comes before the map phase.
   EXPECT_EQ(degree_stats.map_input_records, 0u);
-  EXPECT_EQ(count_stats.map_input_records, 0u);
 }
 
 TEST(MrCombinerTest, DirectedDegreeCombinedMatchesPlain) {
@@ -352,8 +395,7 @@ TEST(MapInputIoChargeTest, StreamBackedJobsChargeDfsBytes) {
   // A second job over the same source is charged its own scan, not the
   // cumulative total.
   JobStats stats2;
-  auto count = MrCountEdgesJob(env, source, JobOptions{}, &stats2);
-  ASSERT_TRUE(count.ok());
+  ASSERT_TRUE(MrDegreeJob(env, source, JobOptions{}, &stats2).ok());
   EXPECT_EQ(stats2.map_input_bytes,
             edges.num_edges() * StreamRecordSource::kDfsRecordBytes);
   EXPECT_EQ(source.bytes_scanned(), 2 * stats2.map_input_bytes);
@@ -417,12 +459,14 @@ TEST(SpillShuffleTest, ManyRunsWithDuplicateKeysMergeIdentically) {
     opts.num_partitions = 2;
     ShuffleWriter<NodeId, NodeId> shuffle(opts.num_partitions, opts,
                                           /*reduce_threads=*/1);
-    // Many tiny appends => many sorted runs per partition.
+    // Many tiny appends, each followed by a spill check => many sorted
+    // runs per partition.
     for (size_t i = 0; i < records.size(); i += 100) {
       std::vector<KV<NodeId, NodeId>> chunk(
           records.begin() + i,
           records.begin() + std::min(records.size(), i + 100));
-      EXPECT_TRUE(shuffle.Append(std::move(chunk)).ok());
+      shuffle.Append(std::move(chunk));
+      EXPECT_TRUE(shuffle.SpillOverBudget().ok());
     }
     std::vector<std::pair<NodeId, std::vector<NodeId>>> groups;
     std::vector<NodeId> values;
@@ -630,9 +674,10 @@ TYPED_TEST(ShuffleKernelTest, LoserTreePacksTheLargestKeyBelowExhausted) {
 
 TYPED_TEST(ShuffleKernelTest, SpilledRunsMergeToTheStableGroups) {
   // The same staggered runs pushed through a one-partition ShuffleWriter:
-  // each run is one Append that overflows the budget and spills, then a
-  // tail stays in memory. The grouped reduce must see every key's values
-  // in run order — the stable sort of the append sequence.
+  // each run is one Append that overflows the budget and spills at the
+  // spill check after it, then a tail stays in memory. The grouped reduce
+  // must see every key's values in run order — the stable sort of the
+  // append sequence.
   using K = TypeParam;
   using Rec = KV<K, uint32_t>;
   constexpr K kMax = std::numeric_limits<K>::max();
@@ -650,12 +695,14 @@ TYPED_TEST(ShuffleKernelTest, SpilledRunsMergeToTheStableGroups) {
       std::vector<Rec> chunk(run.rbegin(), run.rend());
       all.insert(all.end(), chunk.begin(), chunk.end());
       if (chunk.size() > kShareRecords) ++spilled;
-      ASSERT_TRUE(shuffle.Append(std::move(chunk)).ok());
+      shuffle.Append(std::move(chunk));
+      ASSERT_TRUE(shuffle.SpillOverBudget().ok());
     }
     // A tail below the share: it stays resident and merges last.
     std::vector<Rec> tail = {{kMax, 90000}, {K{1}, 90001}, {K{0}, 90002}};
     all.insert(all.end(), tail.begin(), tail.end());
-    ASSERT_TRUE(shuffle.Append(std::move(tail)).ok());
+    shuffle.Append(std::move(tail));
+    ASSERT_TRUE(shuffle.SpillOverBudget().ok());
     ASSERT_EQ(shuffle.spill_runs(), spilled);
 
     std::vector<Rec> merged;
@@ -807,6 +854,14 @@ void ExpectEngineMatchesReferenceModel() {
         ASSERT_TRUE(got.ok()) << what << ": " << got.status().ToString();
         if (budget > 0) {
           EXPECT_GT(stats.spill_runs, 0u) << what;
+          // The spill check runs once per map round (2 chunks per thread),
+          // so even a budget below one chunk spills each partition at most
+          // once per round.
+          const size_t chunks =
+              (input.size() + base.map_chunk_records - 1) /
+              base.map_chunk_records;
+          const size_t rounds = (chunks + 2 * threads - 1) / (2 * threads);
+          EXPECT_LE(stats.spill_runs, rounds * base.num_partitions) << what;
         }
         // The merge reads every spilled byte back, exactly once.
         EXPECT_EQ(stats.spill_bytes_read, stats.spill_bytes_written) << what;

@@ -9,7 +9,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -243,6 +246,94 @@ TEST(SnapshotTest, CorruptedOrTornSnapshotFailsClosedToFullRebuild) {
   // Missing file.
   std::remove(path.c_str());
   EXPECT_FALSE(ReadSnapshot(path, opt).ok());
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// FNV-1a-64, the snapshot body checksum: a checksum, not an
+/// authenticator, so a forged body can carry a valid one.
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST(SnapshotTest, ForgedBodySizeFailsClosed) {
+  // A 32-byte file: a valid header whose body_size claims 2^40 bytes. The
+  // restore must refuse it before allocating the body.
+  const std::string path = TempPath("forged_size");
+  std::string file(32, '\0');
+  std::memcpy(file.data(), "DENSSNAP", 8);
+  const uint32_t version = 2;
+  const uint64_t body_size = uint64_t{1} << 40;
+  std::memcpy(file.data() + 8, &version, sizeof(version));
+  std::memcpy(file.data() + 16, &body_size, sizeof(body_size));
+  WriteFileBytes(path, file);
+  auto restored = ReadSnapshot(path, DynamicDensestOptions{});
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), Status::Code::kIOError);
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, ForgedSizeFieldsWithValidChecksumFailClosed) {
+  // Rewrites the body's node count, node 0's degree and the slot count
+  // to values far beyond the body, re-signs the body, and expects an
+  // IOError: each field is checked against the bytes left before it
+  // sizes a vector.
+  const NodeId kNodes = 30;
+  std::vector<EdgeUpdate> workload = MakeWorkload(kNodes, 200, 60, 23);
+  DynamicDensestOptions opt;
+  auto engine = DynamicDensest::Create(kNodes, opt);
+  ASSERT_TRUE(engine.ok());
+  for (const EdgeUpdate& u : workload) (*engine)->Apply(u);
+  const std::string path = TempPath("forged_fields");
+  ASSERT_TRUE(WriteSnapshot(path, **engine, workload.size()).ok());
+  const std::string good = ReadFileBytes(path);
+  ASSERT_TRUE(ReadSnapshot(path, opt).ok());
+
+  // Body layout: n, lo, num_slots (u32 each) lead; the fixed fields end
+  // where the per-node sections start, which the sizes locate from the
+  // back: n degrees, two ids per edge, num_slots * n levels.
+  const std::string body = good.substr(32);
+  const size_t sections =
+      size_t{kNodes} * sizeof(uint32_t) +
+      2 * size_t{(*engine)->num_edges()} * sizeof(NodeId) +
+      (*engine)->num_slots() * size_t{kNodes} * sizeof(uint16_t);
+  ASSERT_LT(sections, body.size());
+  const size_t node0_degree = body.size() - sections;
+  struct Forgery {
+    const char* field;
+    size_t offset;
+    uint32_t value;
+  };
+  for (const Forgery& forged :
+       {Forgery{"n", 0, 0xFFFFFFF0u}, Forgery{"n = 0", 0, 0},
+        Forgery{"num_slots", 8, 0xFFFFFFFFu},
+        Forgery{"deg(0)", node0_degree, 0xFFFFFFFFu}}) {
+    std::string bad_body = body;
+    std::memcpy(bad_body.data() + forged.offset, &forged.value,
+                sizeof(uint32_t));
+    std::string file = good.substr(0, 32) + bad_body;
+    const uint64_t checksum = Fnv1a64(bad_body);
+    std::memcpy(file.data() + 24, &checksum, sizeof(checksum));
+    WriteFileBytes(path, file);
+    auto restored = ReadSnapshot(path, opt);
+    ASSERT_FALSE(restored.ok()) << forged.field;
+    EXPECT_EQ(restored.status().code(), Status::Code::kIOError)
+        << forged.field << ": " << restored.status().ToString();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, MismatchedOptionsAreRefusedNotServed) {
